@@ -10,10 +10,8 @@ decay, unit gauge of bush vectors) checkable in exact rational arithmetic.
 
 from .bushes import (
     Bush,
-    MidpointVector,
     dyadic_bush,
     lambda_max,
-    midpoint_y,
     random_bush,
     shift_bush,
     validate_bush,
@@ -50,14 +48,12 @@ from .lines import (
     MidpointRef,
     Term,
     child_line,
-    eval_at,
     intermediate_for_label,
     intermediate_line,
     line_for_label,
     root_line,
     sibling_deviation,
-    vertices,
 )
-from .spaces import Functional, NormedSpace, functional_eval, norm
+from .spaces import Functional, NormedSpace
 
 __version__ = "0.1.0"

@@ -15,13 +15,18 @@ construction.
 
 from __future__ import annotations
 
+import math
 import os
 import random
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress
+from typing import NamedTuple, Union
 
 from .errors import BudgetError, DimensionMismatch, BushIndexError, InputError, StructuralError
-from .rationals import Scalar, Vec, vadd, vscale
+from .rationals import Scalar, Vec, vadd
 from .spaces import Functional, NormedSpace
 
 DEFAULT_DEPTH_BUDGET = 12
@@ -133,15 +138,97 @@ class Bush:
         except IndexError:
             raise BushIndexError(f"no weight at level {level}, index {j}") from None
 
+    @cached_property
+    def _index(self) -> "BushIndex":
+        """Compiled view of this bush, built on first use and freed with it."""
+        return BushIndex(self)
 
-@dataclass(frozen=True)
-class MidpointVector:
-    """Midpoint (x_parent + x_child)/2 between consecutive bush levels."""
 
-    level: int  # level of the child vector
-    parent_index: int
-    child_index: int
-    value: Vec
+class BushVectorRef(NamedTuple):
+    level: int
+    index: int
+
+
+class MidpointRef(NamedTuple):
+    level: int  # the child's level
+    parent: int
+    child: int
+
+
+GeneratorRef = Union[BushVectorRef, MidpointRef]
+
+
+def _combine(*terms) -> dict:
+    """Sparse sum of c * v over (c, (indices, values)) terms, zeros dropped."""
+    acc = {}
+    for c, (ii, vv) in terms:
+        for i, v in zip(ii, vv):
+            acc[i] = acc.get(i, 0) + c * v
+    return {i: v for i, v in acc.items() if v}
+
+
+class BushIndex:
+    """Sparse, integer-scaled view of one bush.
+
+    All bush vector and midpoint coordinates are integer multiples of
+    ``1 / scale`` (2 * lcm of the nonzero coordinate denominators), so
+    ``supports[ref]`` holds a generator's nonzero coordinates as
+    ``(indices, ints)``.  ``vector_refs[n][j]`` and ``midpoint_refs[l][j]``
+    (child j at level l + 1 with its parent) are the one ref object per
+    generator that every line shares.  Also holds the parent map, the pair
+    distances, the normalized flag and the line memo.
+    """
+
+    def __init__(self, bush: Bush):
+        self.parents = _parent_map(bush)  # raises StructuralError on overlap/gap
+        space = bush.space
+        positions = range(space.dimension)
+        dense = [
+            [(tuple(compress(positions, vec)), vec) for vec in lev] for lev in bush.levels
+        ]
+        self.scale = scale = 2 * math.lcm(
+            *{vec[i].denominator for lev in dense for ii, vec in lev for i in ii}
+        )
+        self.vector_refs = tuple(
+            tuple(BushVectorRef(n, j) for j in range(len(lev))) for n, lev in enumerate(dense)
+        )
+        self.supports = {
+            ref: (ii, tuple(vec[i].numerator * (scale // vec[i].denominator) for i in ii))
+            for refs, lev in zip(self.vector_refs, dense)
+            for ref, (ii, vec) in zip(refs, lev)
+        }
+        self.kind = space.kind
+        if space.kind == "wl1":
+            den = math.lcm(*(w.denominator for w in space.weights))
+            self.norm_weights = [w.numerator * (den // w.denominator) for w in space.weights]
+            self.norm_denominator = den * scale
+        self.midpoint_refs = tuple(
+            tuple(MidpointRef(l + 1, k, j) for j, k in enumerate(owner))
+            for l, owner in enumerate(self.parents)
+        )
+        self.pair_distances = {}  # midpoint ref -> ||x_parent - x_child||
+        for l, refs in enumerate(self.midpoint_refs):
+            for ref in refs:
+                parent = self.supports[self.vector_refs[l][ref.parent]]
+                child = self.supports[self.vector_refs[l + 1][ref.child]]
+                both = _combine((1, parent), (1, child))
+                ii = tuple(sorted(both))
+                # both ends are even multiples of 1/scale, so halving is exact
+                self.supports[ref] = (ii, tuple(both[i] // 2 for i in ii))
+                diff = _combine((1, parent), (-1, child))
+                self.pair_distances[ref] = self.norm(diff.keys(), diff.values())
+        self.normalized = None  # set by lines.ensure_normalized
+        self.lines = OrderedDict()  # LRU memo of lines.line_for_label
+
+    def norm(self, ii, vv) -> Scalar:
+        """Norm of the vector with scaled coordinates vv at positions ii
+        (same value and type as ``NormedSpace.norm`` on the dense vector)."""
+        if self.kind == "wl1":
+            w = self.norm_weights
+            return Fraction(sum(w[i] * abs(v) for i, v in zip(ii, vv)), self.norm_denominator)
+        if self.kind == "linf":
+            return Fraction(max(map(abs, vv), default=0), self.scale)
+        return math.sqrt(float(Fraction(sum(v * v for v in vv), self.scale ** 2)))
 
 
 @dataclass
@@ -207,11 +294,13 @@ def validate_bush(bush: Bush, tol: Scalar = 0, normalized: bool = True) -> BushV
     ``normalized=True`` additionally requires unit norms, functional value
     one on every vector, and the derived weight bound
     lambda_max <= 1 - epsilon/2 (a warning only in raw mode, where the
-    derivation's unit-norm hypothesis may fail).
+    derivation's unit-norm hypothesis may fail).  Checks run on the sparse
+    integer supports of the bush's index, in time linear in their size.
     """
     report = BushValidation(normalized=normalized)
-    parents = _parent_map(bush)  # raises StructuralError on overlap/gap
-    space = bush.space
+    index = bush._index  # raises StructuralError on overlap/gap
+    supports = index.supports
+    vrefs = index.vector_refs
     eps = bush.epsilon
 
     report.add("root_level_single", len(bush.levels[0]) == 1,
@@ -248,25 +337,27 @@ def validate_bush(bush: Bush, tol: Scalar = 0, normalized: bool = True) -> BushV
     report.add("block_weights_sum_to_one", not bad_sums,
                f"bad sums at {bad_sums[:5]}" if bad_sums else "")
 
+    # den * parent == sum_j (den * weight_j) * child_j, all on scaled ints
     bad_convex = []
     for l in range(bush.depth):
         for k, block in enumerate(bush.partitions[l]):
-            combo = None
-            for j in block:
-                part = vscale(bush.weights[l][j], bush.levels[l + 1][j])
-                combo = part if combo is None else vadd(combo, part)
-            if combo is None or tuple(Fraction(a) for a in combo) != tuple(
-                Fraction(a) for a in bush.levels[l][k]
-            ):
+            weights = [bush.weights[l][j] for j in block]
+            den = math.lcm(*(w.denominator for w in weights))
+            residual = _combine(
+                (-den, supports[vrefs[l][k]]),
+                *((w.numerator * (den // w.denominator), supports[vrefs[l + 1][j]])
+                  for w, j in zip(weights, block)),
+            )
+            if not block or residual:
                 bad_convex.append((l, k))
     report.add("children_average_to_parent", not bad_convex,
                f"exact convexity fails at (parent level, k): {bad_convex[:5]}"
                if bad_convex else "")
 
     bad_sep = []
-    for l in range(bush.depth):
-        for j, k in enumerate(parents[l]):
-            d = space.dist(bush.levels[l + 1][j], bush.levels[l][k])
+    for l, refs in enumerate(index.midpoint_refs):
+        for j, ref in enumerate(refs):
+            d = index.pair_distances[ref]
             if d < eps - tol:
                 bad_sep.append((l + 1, j, float(d)))
     report.add(
@@ -275,8 +366,8 @@ def validate_bush(bush: Bush, tol: Scalar = 0, normalized: bool = True) -> BushV
         f"||x_child - x_parent|| < epsilon = {eps} at {bad_sep[:5]}" if bad_sep else "",
     )
 
-    norms = [space.norm(vec) for lev in bush.levels for vec in lev]
-    max_norm = max(norms)
+    norms = [[index.norm(*supports[ref]) for ref in refs] for refs in vrefs]
+    max_norm = max(x for row in norms for x in row)
     report.add("vectors_bounded", True, f"max norm {float(max_norm)}")
 
     lam = max((w for lev in bush.weights for w in lev), default=None)
@@ -293,19 +384,24 @@ def validate_bush(bush: Bush, tol: Scalar = 0, normalized: bool = True) -> BushV
 
     if normalized:
         off_unit = [
-            (n, j, float(space.norm(vec)))
-            for n, lev in enumerate(bush.levels)
-            for j, vec in enumerate(lev)
-            if abs(Fraction(space.norm(vec)) - 1) > tol
+            (n, j, float(x))
+            for n, row in enumerate(norms)
+            for j, x in enumerate(row)
+            if abs(Fraction(x) - 1) > tol
         ]
         report.add("vectors_have_unit_norm", not off_unit,
                    f"non-unit vectors at {off_unit[:5]}" if off_unit else "")
 
+        # functional(x) == 1  <=>  sum_i (den * f_i) * (scale * x_i) == den * scale
+        coefficients = bush.functional.coefficients
+        den = math.lcm(*(f.denominator for f in coefficients))
+        f = [c.numerator * (den // c.denominator) for c in coefficients]
+        target = den * index.scale
         off_func = [
             (n, j)
-            for n, lev in enumerate(bush.levels)
-            for j, vec in enumerate(lev)
-            if bush.functional(vec) != 1
+            for n, refs in enumerate(vrefs)
+            for j, ref in enumerate(refs)
+            if sum(f[i] * v for i, v in zip(*supports[ref])) != target
         ]
         report.add("functional_is_one_on_vectors", not off_func,
                    f"functional != 1 at {off_func[:5]}" if off_func else "")
@@ -337,24 +433,6 @@ def shift_bush(bush: Bush, x: Vec) -> Bush:
         epsilon=bush.epsilon,
         functional=bush.functional,
     )
-
-
-def midpoint_y(bush: Bush, parent_level: int, parent: int, child: int) -> MidpointVector:
-    """Midpoint (x[parent_level][parent] + x[parent_level+1][child]) / 2.
-
-    The child must belong to the parent's block.  For a normalized bush the
-    midpoint has norm one and sits at distance >= epsilon/2 from both ends.
-    """
-    block = bush.children(parent_level, parent)
-    if child not in block:
-        raise BushIndexError(
-            f"index {child} is not in the block below parent {parent} "
-            f"at level {parent_level} (block: {block})"
-        )
-    xp = bush.vector(parent_level, parent)
-    xc = bush.vector(parent_level + 1, child)
-    value = vscale(Fraction(1, 2), vadd(xp, xc))
-    return MidpointVector(parent_level + 1, parent, child, value)
 
 
 def dyadic_bush(n_levels: int) -> Bush:

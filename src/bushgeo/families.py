@@ -34,7 +34,6 @@ from .lines import (
     format_label,
     intermediate_for_label,
     line_for_label,
-    pair_distance,
 )
 from .rationals import Vec
 
@@ -390,7 +389,7 @@ def challenge_respond(
             lo = bisect_left(oarcs, a)
             while lo + 1 < len(oarcs) and oarcs[lo + 1] <= b:
                 coeff, ref = mid.terms[lo]
-                dev = coeff * HALF * pair_distance(bush, ref)
+                dev = coeff * HALF * bush._index.pair_distances[ref]
                 s_point = oarcs[lo] + coeff * HALF
                 gap_records.append(DeviationPoint(s_point, dev))
                 deviation_total += dev

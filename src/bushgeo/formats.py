@@ -162,7 +162,7 @@ def witness_to_dict(witness: ThicknessWitness) -> dict:
 
 
 def witness_from_dict(doc: dict) -> ThicknessWitness:
-    from .families import DeviationPoint
+    from .families import DeviationPoint, PieceRecord
 
     try:
         return ThicknessWitness(
@@ -172,6 +172,19 @@ def witness_from_dict(doc: dict) -> ThicknessWitness:
             gap_records=tuple(
                 DeviationPoint(parse_rational(r["s"]), parse_rational(r["deviation"]))
                 for r in doc.get("deviations", [])
+            ),
+            piece_records=tuple(
+                PieceRecord(
+                    start=parse_rational(p["start"]),
+                    end=parse_rational(p["end"]),
+                    refine_depth=int(p["refine_depth"]),
+                    flip_position=int(p["flip_position"]),
+                    covers=tuple(tuple(map(parse_rational, ab)) for ab in p["covers"]),
+                    complements=tuple(
+                        tuple(map(parse_rational, ab)) for ab in p["complements"]
+                    ),
+                )
+                for p in doc.get("pieces", [])
             ),
         )
     except KeyError as exc:

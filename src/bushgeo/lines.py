@@ -19,14 +19,12 @@ what `sibling_deviation` totals up.
 
 from __future__ import annotations
 
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
-from .bushes import Bush, depth_budget, validate_bush
-from .errors import BudgetError, InputError
+from .bushes import Bush, BushVectorRef, GeneratorRef, MidpointRef, depth_budget, validate_bush
+from .errors import BudgetError, BushIndexError, InputError
 from .rationals import Vec
 
 HALF = Fraction(1, 2)
@@ -36,81 +34,24 @@ ONE = Fraction(1)
 _MEMO_MAX_LINES = 128
 
 
-class BushVectorRef(NamedTuple):
-    level: int
-    index: int
-
-
-class MidpointRef(NamedTuple):
-    level: int  # the child's level
-    parent: int
-    child: int
-
-
-GeneratorRef = Union[BushVectorRef, MidpointRef]
-
-
 class Term(NamedTuple):
     coeff: Fraction
     ref: GeneratorRef
 
 
 def generator_vector(bush: Bush, ref: GeneratorRef) -> Vec:
+    """Dense coordinates of a bush vector or of a parent-child midpoint
+    (BushIndexError unless the midpoint's child is in its parent's block)."""
     if isinstance(ref, BushVectorRef):
         return bush.vector(ref.level, ref.index)
+    if ref not in bush._index.supports:  # holds exactly the in-block midpoints
+        raise BushIndexError(
+            f"index {ref.child} is not in the block below parent {ref.parent} "
+            f"at level {ref.level - 1}"
+        )
     xp = bush.vector(ref.level - 1, ref.parent)
     xc = bush.vector(ref.level, ref.child)
     return tuple(HALF * (a + b) for a, b in zip(xp, xc))
-
-
-_pair_dist_cache = weakref.WeakKeyDictionary()
-
-
-def pair_distance(bush: Bush, ref: MidpointRef) -> Fraction:
-    """||x_parent - x_child|| for the pair behind a midpoint generator."""
-    cache = _pair_dist_cache.setdefault(bush, {})
-    d = cache.get(ref)
-    if d is None:
-        d = bush.space.dist(bush.vector(ref.level - 1, ref.parent), bush.vector(ref.level, ref.child))
-        cache[ref] = d
-    return d
-
-
-# Integer-scaled sparse generator supports: all generator coordinates of one
-# bush share a denominator (2 * lcm of coordinate denominators), so bulk
-# accumulation along a line can run on plain ints.
-_support_cache = weakref.WeakKeyDictionary()
-
-
-def _bush_support(bush: Bush) -> dict:
-    entry = _support_cache.get(bush)
-    if entry is None:
-        import math
-
-        scale = 2 * math.lcm(
-            *(Fraction(x).denominator for lev in bush.levels for vec in lev for x in vec)
-        )
-        entry = {"scale": scale, "refs": {}}
-        _support_cache[bush] = entry
-    return entry
-
-
-def _ref_support(bush: Bush, ref: GeneratorRef):
-    """(indices, integer values) of the nonzero generator coordinates."""
-    entry = _bush_support(bush)
-    sup = entry["refs"].get(ref)
-    if sup is None:
-        scale = entry["scale"]
-        vec = generator_vector(bush, ref)
-        pairs = []
-        for i, x in enumerate(vec):
-            if x:
-                fx = Fraction(x) * scale
-                assert fx.denominator == 1  # scale covers every coordinate denominator
-                pairs.append((i, fx.numerator))
-        sup = (tuple(i for i, _ in pairs), tuple(v for _, v in pairs))
-        entry["refs"][ref] = sup
-    return sup
 
 
 class BrokenLine:
@@ -183,7 +124,9 @@ class BrokenLine:
             if s < 0 or s > total:
                 raise InputError(f"arclength {s} outside [0, {total}]")
         order = sorted(range(len(qs)), key=qs.__getitem__)
-        scale = _bush_support(bush)["scale"]
+        index = bush._index
+        scale = index.scale
+        supports = index.supports
         P = self._coeff_denom
         PS = P * scale
         acc = [0] * dim
@@ -195,14 +138,14 @@ class BrokenLine:
             while idx < nterms and arcs[idx + 1] < s:
                 coeff, ref = self.terms[idx]
                 m = coeff.numerator * (P // coeff.denominator)
-                ii, vv = _ref_support(bush, ref)
+                ii, vv = supports[ref]
                 for i, v in zip(ii, vv):
                     acc[i] += m * v
                 idx += 1
             base = [Fraction(a, PS) for a in acc]
             if idx < nterms and s > arcs[idx]:
                 rem = s - arcs[idx]
-                ii, vv = _ref_support(bush, self.terms[idx].ref)
+                ii, vv = supports[self.terms[idx].ref]
                 for i, v in zip(ii, vv):
                     base[i] += rem * Fraction(v, scale)
             out[qi] = tuple(base)
@@ -217,30 +160,28 @@ class BrokenLine:
         bush = self.bush
         dim = bush.space.dimension
         arcs = self.arclengths
-        scale = _bush_support(bush)["scale"]
+        index = bush._index
+        scale = index.scale
         P = self._coeff_denom
         PS = P * scale
         acc = [0] * dim
         result = [(ZERO, (ZERO,) * dim)]
         for (coeff, ref), arc in zip(self.terms, arcs[1:]):
             m = coeff.numerator * (P // coeff.denominator)
-            ii, vv = _ref_support(bush, ref)
+            ii, vv = index.supports[ref]
             for i, v in zip(ii, vv):
                 acc[i] += m * v
             result.append((arc, tuple(Fraction(a, PS) for a in acc)))
         return result
 
 
-_normalized_cache = weakref.WeakKeyDictionary()
-
-
 def ensure_normalized(bush: Bush, tol: float = 1e-9):
     """Reject bushes that fail normalized validation (cached per bush)."""
-    ok = _normalized_cache.get(bush)
+    index = bush._index
+    ok = index.normalized
     if ok is None:
         report = validate_bush(bush, tol=Fraction(tol), normalized=True)
-        ok = report.passed
-        _normalized_cache[bush] = ok
+        ok = index.normalized = report.passed
         if not ok:
             failed = [c.name for c in report.checks if not c.passed]
             raise InputError(f"bush is not a normalized bush; failing checks: {failed}")
@@ -252,14 +193,15 @@ def ensure_normalized(bush: Bush, tol: float = 1e-9):
 def root_line(bush: Bush) -> BrokenLine:
     """The empty-label line: the straight segment from 0 to the root vector."""
     ensure_normalized(bush)
-    return BrokenLine(bush, (), False, (Term(ONE, BushVectorRef(0, 0)),))
+    return BrokenLine(bush, (), False, (Term(ONE, bush._index.vector_refs[0][0]),))
 
 
 def intermediate_line(bush: Bush, line: BrokenLine) -> BrokenLine:
     """Replace each bush-vector term by its weighted-midpoint block.
 
     Preserves the vector sum and the arclength sum exactly; the result
-    carries the same label flagged as intermediate.
+    carries the same label flagged as intermediate.  Terms reuse the bush's
+    canonical refs and one coefficient object per distinct value.
     """
     if line.bush is not bush:
         raise InputError("line belongs to a different bush")
@@ -272,14 +214,23 @@ def intermediate_line(bush: Bush, line: BrokenLine) -> BrokenLine:
             f"bush has {bush.depth}",
             required=need,
         )
+    mid_refs = bush._index.midpoint_refs
+    shared = {}
+    prev = None
     out = []
-    for coeff, ref in line.terms:
-        level, k = ref.level, ref.index
-        for j in bush.children(level, k):
-            w = bush.weight(level + 1, j)
+    for coeff, (level, k) in line.terms:
+        if coeff is not prev:  # runs of one shared coefficient object are common
+            prev, products = coeff, {}
+        weights = bush.weights[level]
+        for j in bush.partitions[level][k]:
+            w = weights[j]
             if w == 0:
                 continue  # zero-weight children add nothing to the polyline
-            out.append(Term(coeff * w, MidpointRef(level + 1, k, j)))
+            c = products.get(w)
+            if c is None:
+                c = coeff * w
+                c = products[w] = shared.setdefault(c, c)
+            out.append(Term(c, mid_refs[level][j]))
     return BrokenLine(bush, line.label, True, tuple(out))
 
 
@@ -298,11 +249,17 @@ def child_line(bush: Bush, line: BrokenLine, bit: int) -> BrokenLine:
             required=len(line.label) + 1,
         )
     mid = intermediate_line(bush, line)
+    vector_refs = bush._index.vector_refs
+    shared = {}
+    prev = None
     out = []
-    for coeff, ref in mid.terms:
-        c = coeff * HALF
-        parent_term = Term(c, BushVectorRef(ref.level - 1, ref.parent))
-        child_term = Term(c, BushVectorRef(ref.level, ref.child))
+    for coeff, (level, parent, child) in mid.terms:
+        if coeff is not prev:  # runs of one shared coefficient object are common
+            prev = coeff
+            c = coeff * HALF
+            c = shared.setdefault(c, c)
+        parent_term = Term(c, vector_refs[level - 1][parent])
+        child_term = Term(c, vector_refs[level][child])
         if bit == 0:
             out.append(parent_term)
             out.append(child_term)
@@ -312,18 +269,7 @@ def child_line(bush: Bush, line: BrokenLine, bit: int) -> BrokenLine:
     return BrokenLine(bush, line.label + (bit,), False, tuple(out))
 
 
-_line_memo = weakref.WeakKeyDictionary()
-
-
-def _memo_for(bush: Bush) -> OrderedDict:
-    memo = _line_memo.get(bush)
-    if memo is None:
-        memo = OrderedDict()
-        _line_memo[bush] = memo
-    return memo
-
-
-def _memo_put(memo: OrderedDict, key, line: BrokenLine):
+def _memo_put(memo, key, line: BrokenLine):
     memo[key] = line
     memo.move_to_end(key)
     while len(memo) > _MEMO_MAX_LINES:
@@ -335,7 +281,7 @@ def line_for_label(bush: Bush, label: Sequence[int]) -> BrokenLine:
     label = tuple(int(b) for b in label)
     if any(b not in (0, 1) for b in label):
         raise InputError(f"label must consist of bits, got {label}")
-    memo = _memo_for(bush)
+    memo = bush._index.lines
     line = memo.get(label)
     if line is not None:
         memo.move_to_end(label)
@@ -356,7 +302,7 @@ def line_for_label(bush: Bush, label: Sequence[int]) -> BrokenLine:
 def intermediate_for_label(bush: Bush, label: Sequence[int]) -> BrokenLine:
     """Memoized intermediate refinement of the line for ``label``."""
     label = tuple(int(b) for b in label)
-    memo = _memo_for(bush)
+    memo = bush._index.lines
     key = (label, "mid")
     line = memo.get(key)
     if line is None:
@@ -365,16 +311,6 @@ def intermediate_for_label(bush: Bush, label: Sequence[int]) -> BrokenLine:
     else:
         memo.move_to_end(key)
     return line
-
-
-def vertices(line: BrokenLine) -> list:
-    """All (arclength, point) vertices of a broken line."""
-    return line.vertices()
-
-
-def eval_at(line: BrokenLine, s) -> Vec:
-    """Point of a broken line at arclength s."""
-    return line.eval_at(s)
 
 
 def parse_label(text: str) -> tuple:
@@ -459,7 +395,7 @@ def sibling_deviation(
     selected_length = ZERO
     for i in chosen:
         coeff, ref = mid.terms[i]
-        dev = coeff * HALF * pair_distance(bush, ref)
+        dev = coeff * HALF * bush._index.pair_distances[ref]
         gaps.append(
             GapDeviation(
                 index=i,

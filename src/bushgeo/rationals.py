@@ -35,25 +35,9 @@ def format_vector(vec: Vec) -> list[str]:
     return [format_rational(x) for x in vec]
 
 
-def vzero(dim: int) -> Vec:
-    return (Fraction(0),) * dim
-
-
 def vadd(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c: Scalar, v: Vec) -> Vec:
-    return tuple(c * a for a in v)
-
-
 def vdot(u: Vec, v: Vec) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def as_fractions(v: Sequence) -> Vec:
-    return tuple(Fraction(a) for a in v)

@@ -89,11 +89,3 @@ class Functional:
     def is_norming_for(self, space: NormedSpace, tol: float = 1e-9) -> bool:
         """True when the operator norm equals 1 within ``tol``."""
         return abs(Fraction(space.dual_norm(self.coefficients)) - 1) <= tol
-
-
-def functional_eval(f: Functional, v: Vec) -> Fraction:
-    return f(v)
-
-
-def norm(space: NormedSpace, v: Vec) -> Scalar:
-    return space.norm(v)

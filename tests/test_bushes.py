@@ -13,12 +13,12 @@ from bushgeo import (
     StructuralError,
     dyadic_bush,
     lambda_max,
-    midpoint_y,
     random_bush,
     shift_bush,
     validate_bush,
 )
 from bushgeo.bushes import DEPTH_BUDGET_ENV
+from bushgeo.lines import MidpointRef, generator_vector
 
 F = Fraction
 
@@ -45,7 +45,7 @@ def test_dyadic_depth2_convexity_example():
     assert combo == tuple(F(x) for x in bush.levels[1][0])
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_dyadic_validates_exactly(n):
     report = validate_bush(dyadic_bush(n), tol=0, normalized=True)
     assert report.passed, [c.name for c in report.checks if not c.passed]
@@ -173,20 +173,20 @@ def test_shift_bush():
 
 def test_midpoint_examples():
     bush = dyadic_bush(1)
-    mid = midpoint_y(bush, 0, 0, 0)
-    assert mid.value == (F(3, 2), F(1, 2))
-    assert bush.space.norm(mid.value) == 1
-    assert bush.space.dist(mid.value, bush.levels[0][0]) == F(1, 2)
+    mid = generator_vector(bush, MidpointRef(1, 0, 0))
+    assert mid == (F(3, 2), F(1, 2))
+    assert bush.space.norm(mid) == 1
+    assert bush.space.dist(mid, bush.levels[0][0]) == F(1, 2)
     bush2 = dyadic_bush(2)
-    mid2 = midpoint_y(bush2, 1, 0, 1)
-    assert mid2.value == (1, 3, 0, 0)
-    assert bush2.space.norm(mid2.value) == 1
+    mid2 = generator_vector(bush2, MidpointRef(2, 0, 1))
+    assert mid2 == (1, 3, 0, 0)
+    assert bush2.space.norm(mid2) == 1
 
 
 def test_midpoint_rejects_wrong_block():
     bush = dyadic_bush(2)
     with pytest.raises(BushIndexError):
-        midpoint_y(bush, 1, 0, 2)  # child 2 belongs to parent 1
+        generator_vector(bush, MidpointRef(2, 0, 2))  # child 2 belongs to parent 1
 
 
 def test_midpoint_equidistance_property():
@@ -195,10 +195,10 @@ def test_midpoint_equidistance_property():
         for level in range(bush.depth):
             for k, block in enumerate(bush.partitions[level]):
                 for j in block:
-                    mid = midpoint_y(bush, level, k, j)
+                    mid = generator_vector(bush, MidpointRef(level + 1, k, j))
                     xp, xc = bush.levels[level][k], bush.levels[level + 1][j]
-                    d_parent = bush.space.dist(mid.value, xp)
-                    d_child = bush.space.dist(mid.value, xc)
+                    d_parent = bush.space.dist(mid, xp)
+                    d_child = bush.space.dist(mid, xc)
                     assert d_parent == d_child == half * bush.space.dist(xp, xc)
                     assert d_parent >= bush.epsilon / 2
 

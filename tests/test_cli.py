@@ -234,3 +234,27 @@ def test_round_trip_byte_identical(bush_file, tmp_path, capsys):
     bush = bush_from_dict(load_json(src))
     dump_json(bush_to_dict(bush), resaved)
     assert open(src).read() == open(resaved).read()
+
+
+def test_cli_commands_release_their_bush(bush_file, tmp_path, capsys, monkeypatch):
+    import gc
+    import weakref
+
+    from bushgeo import formats
+
+    loaded = []
+    load = formats.bush_from_dict
+
+    def tracked(doc):
+        bush = load(doc)
+        loaded.append(weakref.ref(bush))
+        return bush
+
+    monkeypatch.setattr(formats, "bush_from_dict", tracked)
+    bush_path = bush_file(4)
+    for seed in (1, 2):
+        out = str(tmp_path / f"response{seed}.json")
+        assert main(["challenge", bush_path, "--seed", str(seed), "-o", out]) == 0
+    gc.collect()
+    assert len(loaded) == 2
+    assert all(ref() is None for ref in loaded)

@@ -72,15 +72,15 @@ def test_challenge_round_trip(dyadic):
 
 
 def test_witness_round_trip(dyadic):
-    from bushgeo import challenge_respond
+    from bushgeo import challenge_respond, gap_switch_pasting
 
-    bush = dyadic(2)
-    resp = challenge_respond(bush, branch_geodesic(bush, (0,)), [F(1, 3)])
+    bush = dyadic(3)
+    geo = gap_switch_pasting(bush, (), (0, 1))
+    resp = challenge_respond(bush, geo, [F(1, 3), F(5, 8)])
+    assert len(resp.witness.piece_records) == geo.n_pieces == 2
     doc = witness_to_dict(resp.witness)
     w2 = witness_from_dict(json.loads(json.dumps(doc)))
-    assert w2.q == resp.witness.q
-    assert w2.s == resp.witness.s
-    assert w2.deviation_total == resp.witness.deviation_total
+    assert w2 == resp.witness
 
 
 def test_bad_documents():

@@ -291,3 +291,21 @@ def test_label_parsing():
     assert format_label((0, 1, 1)) == "011"
     with pytest.raises(InputError):
         parse_label("012")
+
+
+def test_bush_and_its_lines_are_freed_together():
+    import gc
+    import weakref
+
+    from bushgeo import dyadic_bush, validate_bush
+
+    bush = dyadic_bush(4)
+    line = line_for_label(bush, (0, 1))
+    line.eval_batch([F(1, 3), F(5, 8)])
+    intermediate_for_label(bush, (1,))
+    sibling_deviation(bush, (0,))
+    validate_bush(bush, tol=0)
+    ref = weakref.ref(bush)
+    del bush, line
+    gc.collect()
+    assert ref() is None
