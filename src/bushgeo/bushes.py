@@ -175,8 +175,10 @@ class BushIndex:
     ``supports[ref]`` holds a generator's nonzero coordinates as
     ``(indices, ints)``.  ``vector_refs[n][j]`` and ``midpoint_refs[l][j]``
     (child j at level l + 1 with its parent) are the one ref object per
-    generator that every line shares.  Also holds the parent map, the pair
-    distances, the normalized flag and the line memo.
+    generator that every line shares; ``int_weights[l][j]`` is child j's
+    weight times ``weight_scale`` (the lcm of the weight denominators).
+    Also holds the parent map, the pair distances, the normalized flag and
+    the line memo.
     """
 
     def __init__(self, bush: Bush):
@@ -217,6 +219,10 @@ class BushIndex:
                 self.supports[ref] = (ii, tuple(both[i] // 2 for i in ii))
                 diff = _combine((1, parent), (-1, child))
                 self.pair_distances[ref] = self.norm(diff.keys(), diff.values())
+        self.weight_scale = den = math.lcm(*(w.denominator for lev in bush.weights for w in lev))
+        self.int_weights = [
+            [w.numerator * (den // w.denominator) for w in lev] for lev in bush.weights
+        ]
         self.normalized = None  # set by lines.ensure_normalized
         self.lines = OrderedDict()  # LRU memo of lines.line_for_label
 

@@ -8,6 +8,7 @@ line and within lambda_max**D of the limit geodesic everywhere else.
 ``PastedGeodesic`` glues branch pieces at shared vertices; ``paste``
 accepts exactly the checkable sufficient condition (each breakpoint is a
 vertex arclength of both adjacent rendered lines, with equal points).
+Evaluation, pasting and coverings descend the lines' trees, building none.
 
 ``challenge_respond`` plays the thickness game: given a pasted geodesic g
 and challenge arclengths t_i, it covers the t_i by vertex-aligned
@@ -30,7 +31,10 @@ from typing import Optional, Sequence
 from .bushes import Bush, depth_budget, lambda_max
 from .errors import BudgetError, InputError, PastingError
 from .lines import (
-    BrokenLine,
+    _check_label,
+    _descend,
+    _on_vertex,
+    _point,
     format_label,
     intermediate_for_label,
     line_for_label,
@@ -91,10 +95,6 @@ def make_branch(bush: Bush, bits: Sequence[int], depth: Optional[int] = None) ->
     return BranchSpec(tuple(bits), depth)
 
 
-def branch_line(bush: Bush, spec: BranchSpec) -> BrokenLine:
-    return line_for_label(bush, spec.extended_label())
-
-
 @dataclass(frozen=True)
 class BranchValue:
     value: Vec
@@ -108,15 +108,13 @@ def branch_eval(bush: Bush, spec: BranchSpec, s) -> BranchValue:
     (exact at every vertex of the depth-D line).
     """
     s = Fraction(s)
-    if s < 0 or s > 1:
-        raise InputError(f"arclength {s} outside [0, 1]")
     if spec.depth > bush.depth:
         raise BudgetError(
             f"evaluation depth {spec.depth} exceeds bush depth {bush.depth}",
             required=spec.depth,
         )
-    line = branch_line(bush, spec)
-    return BranchValue(line.eval_at(s), lambda_max(bush) ** spec.depth)
+    value = _point(bush, _descend(bush, spec.extended_label(), s), s)
+    return BranchValue(value, lambda_max(bush) ** spec.depth)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,27 +134,14 @@ class PastedGeodesic:
         return min(max(i, 0), len(self.pieces) - 1)
 
     def eval_batch(self, points: Sequence) -> list:
-        points = [Fraction(p) for p in points]
-        for p in points:
-            if p < 0 or p > 1:
-                raise InputError(f"arclength {p} outside [0, 1]")
-        by_piece = {}
-        for pos, p in enumerate(points):
-            by_piece.setdefault(self.piece_index(p), []).append(pos)
-        out = [None] * len(points)
-        for d, positions in by_piece.items():
-            line = branch_line(self.bush, self.pieces[d])
-            values = line.eval_batch([points[pos] for pos in positions])
-            for pos, val in zip(positions, values):
-                out[pos] = val
-        return out
+        """Exact points at many arclengths, one tree descent each."""
+        labels = [p.extended_label() for p in self.pieces]
+        bush = self.bush
+        return [_point(bush, _descend(bush, labels[self.piece_index(s)], s), s)
+                for s in map(Fraction, points)]
 
     def eval_at(self, s) -> Vec:
         return self.eval_batch([s])[0]
-
-    def max_error_bound(self) -> Fraction:
-        lam = lambda_max(self.bush)
-        return max(lam ** p.depth for p in self.pieces)
 
     def deepened(self, depth: int) -> "PastedGeodesic":
         return PastedGeodesic(
@@ -169,7 +154,8 @@ def paste(bush: Bush, breakpoints: Sequence, pieces: Sequence[BranchSpec]) -> Pa
 
     Every interior breakpoint must be a vertex arclength of both adjacent
     pieces' rendered lines and the two lines must agree there exactly;
-    anything else raises PastingError.
+    anything else raises PastingError.  No line is built, but pieces are
+    refused as building their lines would refuse them.
     """
     breakpoints = tuple(Fraction(h) for h in breakpoints)
     pieces = tuple(pieces)
@@ -190,25 +176,20 @@ def paste(bush: Bush, breakpoints: Sequence, pieces: Sequence[BranchSpec]) -> Pa
                 f"piece depth {piece.depth} exceeds bush depth {bush.depth}",
                 required=piece.depth,
             )
-    lines = [branch_line(bush, p) for p in pieces]
-    need = {}  # id(line) -> (line, set of breakpoints to evaluate)
-    for d in range(1, len(pieces)):
-        h = breakpoints[d]
-        for side, line in (("left", lines[d - 1]), ("right", lines[d])):
-            if not line.is_vertex_arclength(h):
+    for piece in pieces:
+        _check_label(bush, piece.depth)
+    junctions = []  # (h, left path, right path); all vertex checks come first
+    for h, *sides in zip(breakpoints[1:-1], pieces, pieces[1:]):
+        paths = [_descend(bush, p.extended_label(), h) for p in sides]
+        for side, p, path in zip(("left", "right"), sides, paths):
+            if not _on_vertex(path[-1], h):
                 raise PastingError(
                     f"breakpoint {h} is not a vertex arclength of the {side} piece "
-                    f"(label {format_label(line.label)})"
+                    f"(label {format_label(p.extended_label())})"
                 )
-            need.setdefault(id(line), (line, set()))[1].add(h)
-    values = {}
-    for line, hs in need.values():
-        hs = sorted(hs)
-        for h, val in zip(hs, line.eval_batch(hs)):
-            values[(id(line), h)] = val
-    for d in range(1, len(pieces)):
-        h = breakpoints[d]
-        if values[(id(lines[d - 1]), h)] != values[(id(lines[d]), h)]:
+        junctions.append((h, *paths))
+    for h, left, right in junctions:
+        if _point(bush, left, h) != _point(bush, right, h):
             raise PastingError(f"pieces disagree at breakpoint {h}")
     return PastedGeodesic(bush, breakpoints, pieces)
 
@@ -293,22 +274,28 @@ def _merge_intervals(intervals):
 
 def _covering_for_piece(bush, piece, h0, h1, ts, cap):
     """Smallest L with h0, h1 vertex-aligned and the ts coverable by
-    depth-L vertex gaps of total length <= (h1 - h0) / 2."""
-    for level in range(0, cap):
-        line = line_for_label(bush, piece.extended_label(level))
-        arcs = line.arclengths
-        if not (line.is_vertex_arclength(h0) and line.is_vertex_arclength(h1)):
+    depth-L vertex gaps of total length <= (h1 - h0) / 2; one descent per
+    point gives its gap at every L (lines past the budget are refused)."""
+    levels = min(cap, depth_budget() + 1)
+    label = piece.extended_label(max(levels - 1, 0))
+    ends = [_descend(bush, label, h) for h in (h0, h1)]
+    paths = [(t, _descend(bush, label, t)) for t in ts]
+    for level in range(levels):
+        if not (_on_vertex(ends[0][level], h0) and _on_vertex(ends[1][level], h1)):
             continue
         covers = []
-        for t in ts:
-            i = bisect_right(arcs, t) - 1
-            if arcs[i] == t:
+        for t, path in paths:
+            step = path[level]
+            if _on_vertex(step, t):
                 continue  # already a vertex: g-tilde passes through it for free
-            covers.append((arcs[i], arcs[i + 1]))
+            start, length, den = step[:3]
+            covers.append((Fraction(start, den), Fraction(start + length, den)))
         covers = _merge_intervals(covers)
         total = sum((b - a for a, b in covers), ZERO)
         if total <= (h1 - h0) * HALF:
             return level, covers
+    if levels < cap:
+        _check_label(bush, levels)
     raise BudgetError(
         f"no depth L < {cap} admits a half-length covering of "
         f"{len(ts)} challenge points in piece [{h0}, {h1}]; "
@@ -333,6 +320,8 @@ def challenge_respond(
     where the two geodesics are (gap/2)*||x_parent - x_child|| apart; the
     deviation total is at least epsilon/4.
     """
+    if depth_limit is not None and depth_limit < 1:
+        raise InputError(f"depth limit must be >= 1, got {depth_limit}")
     cap = min(bush.depth, depth_limit if depth_limit is not None else depth_budget())
     ts_all = sorted(set(Fraction(t) for t in t_points))
     if ts_all and (ts_all[0] < 0 or ts_all[-1] > 1):
@@ -646,10 +635,13 @@ def random_challenge(
 ):
     """Random valid pasted geodesic plus random challenge arclengths.
 
-    Junctions are drawn from vertex arclengths of a shared-prefix line (so
-    the pasting is always valid); challenge points mix dyadic and
-    non-dyadic rationals.
+    Junctions are vertex arclengths of a shared-prefix line (so the pasting
+    is always valid); prefixes and junction lines are no deeper than the
+    pieces, and challenge points mix dyadic and non-dyadic rationals.
     """
+    piece_depth = default_depth(bush) if depth is None else depth
+    max_prefix = min(max_prefix, piece_depth)
+    junction_depth = min(junction_depth, piece_depth)
     n_pieces = rng.randint(1, max_pieces)
     bits = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, max_prefix)))
     breakpoints = [ZERO]

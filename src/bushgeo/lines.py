@@ -11,6 +11,11 @@ arclength on [0, 1].  Lines are labelled by bit strings:
 * appending bit 0 (resp. 1) splits every midpoint term of the intermediate
   line into the halves (parent, child) (resp. (child, parent)).
 
+Each step (`_run`) replaces a term by a run of terms with the same sum, so
+a line is a substitution tree: points are found by one integer descent
+(`_descend`, `_point`) without building the line.  Only `vertices()` and
+the memoised builders materialise terms.
+
 Both children of a label pass through every vertex of the intermediate
 line; between two consecutive intermediate vertices they acquire new
 vertices sitting exactly (gap/2) * ||x_parent - x_child|| apart, which is
@@ -19,6 +24,7 @@ what `sibling_deviation` totals up.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -57,7 +63,7 @@ def generator_vector(bush: Bush, ref: GeneratorRef) -> Vec:
 class BrokenLine:
     """One labelled broken line; immutable after construction."""
 
-    __slots__ = ("bush", "label", "intermediate", "terms", "_arcs", "_denom", "__weakref__")
+    __slots__ = ("bush", "label", "intermediate", "terms", "_arcs", "__weakref__")
 
     def __init__(self, bush: Bush, label: tuple, intermediate: bool, terms: tuple):
         self.bush = bush
@@ -65,7 +71,6 @@ class BrokenLine:
         self.intermediate = bool(intermediate)
         self.terms = tuple(terms)
         self._arcs = None
-        self._denom = None
 
     def __repr__(self):
         tag = "~" if self.intermediate else ""
@@ -92,64 +97,10 @@ class BrokenLine:
         """Largest distance between consecutive vertices (= largest coeff)."""
         return max(t.coeff for t in self.terms)
 
-    def is_vertex_arclength(self, s: Fraction) -> bool:
-        from bisect import bisect_left
-
-        arcs = self.arclengths
-        i = bisect_left(arcs, s)
-        return i < len(arcs) and arcs[i] == s
-
-    @property
-    def _coeff_denom(self) -> int:
-        """lcm of the term-coefficient denominators (for int accumulation)."""
-        if self._denom is None:
-            import math
-
-            self._denom = math.lcm(*(t.coeff.denominator for t in self.terms))
-        return self._denom
-
     def eval_batch(self, points: Sequence[Fraction]) -> list:
-        """Evaluate at many arclengths with one pass over the terms.
-
-        Whole terms accumulate as integers over a fixed denominator; only
-        the query snapshots (and the partial segment of each query) touch
-        Fraction arithmetic, so batches over long lines stay fast and exact.
-        """
-        bush = self.bush
-        dim = bush.space.dimension
-        arcs = self.arclengths
-        total = arcs[-1]
-        qs = [Fraction(p) for p in points]
-        for s in qs:
-            if s < 0 or s > total:
-                raise InputError(f"arclength {s} outside [0, {total}]")
-        order = sorted(range(len(qs)), key=qs.__getitem__)
-        index = bush._index
-        scale = index.scale
-        supports = index.supports
-        P = self._coeff_denom
-        PS = P * scale
-        acc = [0] * dim
-        out = [None] * len(qs)
-        idx = 0
-        nterms = len(self.terms)
-        for qi in order:
-            s = qs[qi]
-            while idx < nterms and arcs[idx + 1] < s:
-                coeff, ref = self.terms[idx]
-                m = coeff.numerator * (P // coeff.denominator)
-                ii, vv = supports[ref]
-                for i, v in zip(ii, vv):
-                    acc[i] += m * v
-                idx += 1
-            base = [Fraction(a, PS) for a in acc]
-            if idx < nterms and s > arcs[idx]:
-                rem = s - arcs[idx]
-                ii, vv = supports[self.terms[idx].ref]
-                for i, v in zip(ii, vv):
-                    base[i] += rem * Fraction(v, scale)
-            out[qi] = tuple(base)
-        return out
+        """Exact points at many arclengths, one tree descent each."""
+        bush, label, mid = self.bush, self.label, self.intermediate
+        return [_point(bush, _descend(bush, label, s, mid), s) for s in map(Fraction, points)]
 
     def eval_at(self, s) -> Vec:
         """Point at arclength s in [0, 1] (exact for rational s)."""
@@ -162,7 +113,7 @@ class BrokenLine:
         arcs = self.arclengths
         index = bush._index
         scale = index.scale
-        P = self._coeff_denom
+        P = math.lcm(*(t.coeff.denominator for t in self.terms))
         PS = P * scale
         acc = [0] * dim
         result = [(ZERO, (ZERO,) * dim)]
@@ -190,6 +141,122 @@ def ensure_normalized(bush: Bush, tol: float = 1e-9):
     return bush
 
 
+def _check_label(bush: Bush, length: int, intermediate: bool = False):
+    """Refuse the line of a length-``length`` label (or its intermediate
+    line) as building it would: unnormalized bush, or the first refinement
+    step past the depth budget or past the bush depth."""
+    ensure_normalized(bush)
+    budget = depth_budget()
+    if budget < length and budget <= bush.depth:
+        raise BudgetError(
+            f"label length {budget + 1} exceeds depth budget {budget}", required=budget + 1
+        )
+    if bush.depth < length + intermediate:
+        raise BudgetError(
+            f"refining a length-{bush.depth} label needs bush depth >= {bush.depth + 1}, "
+            f"bush has {bush.depth}",
+            required=bush.depth + 1,
+        )
+
+
+def _run(bush: Bush, ref: BushVectorRef, bit: Optional[int]) -> list:
+    """The refinement rule: the terms that replace a term ``c * x[l][k]``.
+
+    Per child j of the block below k (zero weights skipped): the midpoint
+    term for ``bit=None`` (the intermediate step), else the halves (parent,
+    child), swapped for bit 1.  Entries are ``(n, ref)`` for the coefficient
+    ``c * n / (2 * weight_scale)``.
+    """
+    index = bush._index
+    level, k = ref
+    run = []
+    for j in bush.partitions[level][k]:
+        iw = index.int_weights[level][j]
+        if iw and bit is None:
+            run.append((2 * iw, index.midpoint_refs[level][j]))
+        elif iw:
+            child = index.vector_refs[level + 1][j]
+            run += ((iw, child), (iw, ref)) if bit else ((iw, ref), (iw, child))
+    return run
+
+
+def _refine(bush: Bush, line: BrokenLine, bit: Optional[int]) -> tuple:
+    """The terms of ``line`` after one `_run` step.  Runs of one shared
+    coefficient object are common, so their products are shared."""
+    if line.bush is not bush:
+        raise InputError("line belongs to a different bush")
+    if line.intermediate:
+        raise InputError("line is already intermediate")
+    _check_label(bush, len(line.label) + (bit is not None), intermediate=bit is None)
+    den = 2 * bush._index.weight_scale
+    runs, out, prev = {}, [], None
+    for coeff, ref in line.terms:
+        run = runs.get(ref) or runs.setdefault(ref, _run(bush, ref, bit))
+        if coeff is not prev:
+            prev, products = coeff, {}
+        for n, r in run:
+            c = products.get(n)
+            if c is None:
+                c = products[n] = coeff * Fraction(n, den)
+            out.append(Term(c, r))
+    return tuple(out)
+
+
+def _descend(bush: Bush, label: tuple, s: Fraction, intermediate: bool = False) -> list:
+    """Follow arclength ``s`` down the `_run` steps to the line of ``label``.
+
+    Entry i is ``(start, length, den, ref, before)`` for line ``label[:i]``
+    (then the intermediate line): its first term ending at or after s spans
+    [start/den, (start + length)/den], and ``before`` holds the ``(length,
+    ref)`` terms before it in the run that replaced entry i - 1's term.
+    Compares integers only; raises what building the line would raise.
+    """
+    if not 0 <= s <= 1:
+        raise InputError(f"arclength {s} outside [0, 1]")
+    _check_label(bush, len(label), intermediate)
+    index = bush._index
+    step = 2 * index.weight_scale
+    sn, sd = s.numerator, s.denominator
+    start, length, den, ref = 0, 1, 1, index.vector_refs[0][0]
+    path = [(start, length, den, ref, ())]
+    for bit in (*label, None) if intermediate else label:
+        start, den, before = start * step, den * step, []
+        for n, r in _run(bush, ref, bit):
+            piece = length * n
+            if (start + piece) * sd >= sn * den:
+                break
+            before.append((piece, r))
+            start += piece
+        length, ref = piece, r
+        path.append((start, length, den, ref, before))
+    return path
+
+
+def _point(bush: Bush, path: list, s: Fraction) -> Vec:
+    """The point at arclength ``s`` from its `_descend` path, exactly."""
+    index = bush._index
+    start, _, den, ref, _ = path[-1]
+    sn, sd = s.numerator, s.denominator
+    counts = {ref: sn * den - start * sd}  # coefficients over den * sd
+    for _, _, d, _, before in path:
+        for piece, r in before:
+            counts[r] = counts.get(r, 0) + piece * (den // d) * sd
+    acc = [0] * bush.space.dimension
+    for r, c in counts.items():
+        ii, vv = index.supports[r]
+        for i, v in zip(ii, vv):
+            acc[i] += c * v
+    total = den * sd * index.scale
+    shared = {a: Fraction(a, total) for a in set(acc)}  # coordinates repeat often
+    return tuple(map(shared.__getitem__, acc))
+
+
+def _on_vertex(entry: tuple, s: Fraction) -> bool:
+    """Whether ``s`` is a vertex arclength of a `_descend` entry's line."""
+    start, length, den, sd = *entry[:3], s.denominator
+    return s.numerator * den in (start * sd, (start + length) * sd)
+
+
 def root_line(bush: Bush) -> BrokenLine:
     """The empty-label line: the straight segment from 0 to the root vector."""
     ensure_normalized(bush)
@@ -200,73 +267,18 @@ def intermediate_line(bush: Bush, line: BrokenLine) -> BrokenLine:
     """Replace each bush-vector term by its weighted-midpoint block.
 
     Preserves the vector sum and the arclength sum exactly; the result
-    carries the same label flagged as intermediate.  Terms reuse the bush's
-    canonical refs and one coefficient object per distinct value.
+    carries the same label flagged as intermediate.
     """
-    if line.bush is not bush:
-        raise InputError("line belongs to a different bush")
-    if line.intermediate:
-        raise InputError("line is already intermediate")
-    need = len(line.label) + 1
-    if need > bush.depth:
-        raise BudgetError(
-            f"refining a length-{len(line.label)} label needs bush depth >= {need}, "
-            f"bush has {bush.depth}",
-            required=need,
-        )
-    mid_refs = bush._index.midpoint_refs
-    shared = {}
-    prev = None
-    out = []
-    for coeff, (level, k) in line.terms:
-        if coeff is not prev:  # runs of one shared coefficient object are common
-            prev, products = coeff, {}
-        weights = bush.weights[level]
-        for j in bush.partitions[level][k]:
-            w = weights[j]
-            if w == 0:
-                continue  # zero-weight children add nothing to the polyline
-            c = products.get(w)
-            if c is None:
-                c = coeff * w
-                c = products[w] = shared.setdefault(c, c)
-            out.append(Term(c, mid_refs[level][j]))
-    return BrokenLine(bush, line.label, True, tuple(out))
+    return BrokenLine(bush, line.label, True, _refine(bush, line, None))
 
 
 def child_line(bush: Bush, line: BrokenLine, bit: int) -> BrokenLine:
-    """Label extension: intermediate pass, then split each midpoint term.
-
-    Bit 0 orders each split as (parent half, child half), bit 1 swaps the
-    order.  Term count doubles relative to the intermediate line.
-    """
+    """Label extension: each term becomes the split halves of its midpoints,
+    (parent, child) for bit 0 and (child, parent) for bit 1; the
+    intermediate line in between is not built."""
     if bit not in (0, 1):
         raise InputError(f"bit must be 0 or 1, got {bit!r}")
-    budget = depth_budget()
-    if len(line.label) + 1 > budget:
-        raise BudgetError(
-            f"label length {len(line.label) + 1} exceeds depth budget {budget}",
-            required=len(line.label) + 1,
-        )
-    mid = intermediate_line(bush, line)
-    vector_refs = bush._index.vector_refs
-    shared = {}
-    prev = None
-    out = []
-    for coeff, (level, parent, child) in mid.terms:
-        if coeff is not prev:  # runs of one shared coefficient object are common
-            prev = coeff
-            c = coeff * HALF
-            c = shared.setdefault(c, c)
-        parent_term = Term(c, vector_refs[level - 1][parent])
-        child_term = Term(c, vector_refs[level][child])
-        if bit == 0:
-            out.append(parent_term)
-            out.append(child_term)
-        else:
-            out.append(child_term)
-            out.append(parent_term)
-    return BrokenLine(bush, line.label + (bit,), False, tuple(out))
+    return BrokenLine(bush, line.label + (bit,), False, _refine(bush, line, bit))
 
 
 def _memo_put(memo, key, line: BrokenLine):
@@ -282,17 +294,11 @@ def line_for_label(bush: Bush, label: Sequence[int]) -> BrokenLine:
     if any(b not in (0, 1) for b in label):
         raise InputError(f"label must consist of bits, got {label}")
     memo = bush._index.lines
-    line = memo.get(label)
-    if line is not None:
-        memo.move_to_end(label)
-        return line
-    # walk back to the deepest cached prefix, then extend
     k = len(label)
-    while k > 0 and label[:k] not in memo:
+    while k > 0 and label[:k] not in memo:  # the deepest cached prefix
         k -= 1
-    line = memo.get(label[:k]) if k > 0 else root_line(bush)
-    if k == 0:
-        _memo_put(memo, (), line)
+    line = memo.get(label[:k]) or root_line(bush)
+    _memo_put(memo, line.label, line)
     for bit in label[k:]:
         line = child_line(bush, line, bit)
         _memo_put(memo, line.label, line)
@@ -301,15 +307,10 @@ def line_for_label(bush: Bush, label: Sequence[int]) -> BrokenLine:
 
 def intermediate_for_label(bush: Bush, label: Sequence[int]) -> BrokenLine:
     """Memoized intermediate refinement of the line for ``label``."""
-    label = tuple(int(b) for b in label)
+    key = (tuple(int(b) for b in label), "mid")
     memo = bush._index.lines
-    key = (label, "mid")
-    line = memo.get(key)
-    if line is None:
-        line = intermediate_line(bush, line_for_label(bush, label))
-        _memo_put(memo, key, line)
-    else:
-        memo.move_to_end(key)
+    line = memo.get(key) or intermediate_line(bush, line_for_label(bush, key[0]))
+    _memo_put(memo, key, line)
     return line
 
 

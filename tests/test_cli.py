@@ -226,6 +226,13 @@ def test_budget_error_exit_code(bush_file, capsys):
     assert "budget error" in capsys.readouterr().err
 
 
+def test_depth_limit_below_one_is_an_input_error(bush_file, capsys):
+    for limit in ("0", "-2"):
+        code = main(["challenge", bush_file(2), "--seed", "1", "--depth-limit", limit])
+        assert code == 2
+        assert f"depth limit must be >= 1, got {limit}" in capsys.readouterr().err
+
+
 def test_round_trip_byte_identical(bush_file, tmp_path, capsys):
     src = bush_file(3)
     resaved = str(tmp_path / "resaved.json")

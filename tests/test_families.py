@@ -14,6 +14,7 @@ from bushgeo import (
     branch_geodesic,
     brute_force_alpha,
     challenge_respond,
+    dyadic_bush,
     gap_switch_pasting,
     lambda_max,
     line_for_label,
@@ -21,10 +22,12 @@ from bushgeo import (
     paste,
     random_bush,
     random_challenge,
+    shift_bush,
     sibling_deviation,
     validate_bush,
     validate_witness,
 )
+from bushgeo.bushes import DEPTH_BUDGET_ENV
 
 F = Fraction
 
@@ -127,6 +130,40 @@ def test_paste_input_checks(dyadic):
         paste(bush, (0, F(1, 2)), (piece,))
     with pytest.raises(PastingError):
         paste(bush, (0, F(1, 2), F(1, 2), 1), (piece, piece, piece))
+
+
+@pytest.mark.parametrize(
+    "make_bush", [lambda: dyadic_bush(3), lambda: random_bush(5, depth=5, extra_atoms=4)]
+)
+def test_paste_accepts_exactly_the_shared_vertices(make_bush):
+    # a breakpoint is accepted iff it is a vertex arclength of both pieces'
+    # built lines with the same point there; the error says which check failed
+    bush = make_bush()
+    labels = [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
+    vertices = {label: dict(line_for_label(bush, label).vertices()) for label in labels}
+    for a in labels:
+        arcs = sorted(vertices[a])
+        mids = [(x + y) / 2 for x, y in zip(arcs, arcs[1:])]
+        for b in labels:
+            pieces = (BranchSpec(a, len(a)), BranchSpec(b, len(b)))
+            for h in sorted((set(arcs) | set(vertices[b]) | set(mids)) - {0, 1}):
+                shared = h in vertices[a] and h in vertices[b]
+                if shared and vertices[a][h] == vertices[b][h]:
+                    assert paste(bush, (0, h, 1), pieces).breakpoints == (0, h, 1)
+                    continue
+                with pytest.raises(PastingError) as err:
+                    paste(bush, (0, h, 1), pieces)
+                assert ("disagree" if shared else "not a vertex") in str(err.value), (a, b, h)
+
+
+def test_paste_refuses_pieces_as_building_their_lines_would(monkeypatch):
+    piece = (BranchSpec((0,), 2),)
+    with pytest.raises(InputError):
+        paste(shift_bush(dyadic_bush(2), (1, 0, 0, 0)), (0, 1), piece)
+    bush = dyadic_bush(3)
+    monkeypatch.setenv(DEPTH_BUDGET_ENV, "2")
+    with pytest.raises(BudgetError, match="label length 3 exceeds depth budget 2"):
+        paste(bush, (0, 1), (BranchSpec((0,), 3),))
 
 
 def test_pasted_geodesic_is_distance_preserving(dyadic):
@@ -252,6 +289,27 @@ def test_randomized_challenges_small(dyadic):
             resp.challenge, resp.geodesic, ts, resp.witness, bush.epsilon / 4
         )
         assert report.passed, report.as_dict()
+
+
+@pytest.mark.parametrize(
+    "make_bush",
+    [lambda: dyadic_bush(1), lambda: dyadic_bush(2), lambda: random_bush(0, depth=2)],
+)
+def test_random_challenge_on_shallow_bushes(make_bush):
+    # prefixes and junction lines are clamped to the pieces' depth
+    bush = make_bush()
+    for seed in range(200):
+        geo, ts = random_challenge(bush, random.Random(seed))
+        assert paste(bush, geo.breakpoints, geo.pieces).pieces == geo.pieces
+        assert all(0 <= t <= 1 for t in ts)
+
+
+def test_challenge_rejects_depth_limit_below_one(dyadic):
+    bush = dyadic(2)
+    g = branch_geodesic(bush, ())
+    for limit in (0, -2):
+        with pytest.raises(InputError, match=f"depth limit must be >= 1, got {limit}"):
+            challenge_respond(bush, g, [F(1, 3)], depth_limit=limit)
 
 
 def test_random_challenge_deterministic(dyadic):

@@ -1,4 +1,6 @@
+import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from bushgeo import (
     MidpointRef,
     Term,
     child_line,
+    dyadic_bush,
     intermediate_for_label,
     intermediate_line,
     lambda_max,
@@ -309,3 +312,57 @@ def test_bush_and_its_lines_are_freed_together():
     del bush, line
     gc.collect()
     assert ref() is None
+
+
+def _interpolate(arcs, points, s):
+    """Exact point at arclength s on the polyline through (arcs, points)."""
+    i = bisect_right(arcs, s) - 1
+    if arcs[i] == s:
+        return points[i]
+    a, b, p, q = arcs[i], arcs[i + 1], points[i], points[i + 1]
+    t = (s - a) / (b - a)
+    return tuple(x + t * (y - x) for x, y in zip(p, q))
+
+
+def _scaled(points, den):
+    """Points as integer tuples over ``den``, which must be a common denominator."""
+    assert all(den % d == 0 for d in {x.denominator for point in points for x in point})
+    return [tuple(x.numerator * (den // x.denominator) for x in point) for point in points]
+
+
+DESCENT_BUSHES = {
+    "dyadic_5": lambda: dyadic_bush(5),
+    "random_1_d5": lambda: random_bush(1, depth=5),
+    "random_5_d5_x4": lambda: random_bush(5, depth=5, extra_atoms=4),  # two 3-child blocks
+}
+
+
+@pytest.mark.parametrize("name", sorted(DESCENT_BUSHES))
+def test_descent_matches_materialised_lines(name):
+    # eval_batch descends the substitution tree; vertices() walks the built
+    # line: both must give the same exact point at every vertex, every gap
+    # midpoint and some non-dyadic arclengths, on plain and intermediate lines
+    bush = DESCENT_BUSHES[name]()
+    others = [F(k, d) for d in (3, 7, 9) for k in range(1, d)]
+    for p in range(6):
+        for n in range(2**p):
+            label = tuple((n >> i) & 1 for i in range(p))
+            lines = [line_for_label(bush, label)]
+            if p < bush.depth:
+                lines.append(intermediate_for_label(bush, label))
+            for line in lines:
+                arcs, values = zip(*line.vertices())
+                mids = [(a + b) / 2 for a, b in zip(arcs, arcs[1:])]
+                got = line.eval_batch(list(arcs) + mids + others)
+                # vertices and gap midpoints compare as integers over 2 * lcm
+                den = 2 * math.lcm(*(x.denominator for point in values for x in point))
+                at_vertices = _scaled(values, den)
+                at_mids = [
+                    tuple((x + y) // 2 for x, y in zip(u, v))
+                    for u, v in zip(at_vertices, at_vertices[1:])
+                ]
+                k = len(arcs)
+                assert _scaled(got[:k], den) == at_vertices, (label, line.intermediate)
+                assert _scaled(got[k : 2 * k - 1], den) == at_mids, (label, line.intermediate)
+                expected = [_interpolate(arcs, values, s) for s in others]
+                assert got[2 * k - 1 :] == expected, (label, line.intermediate)
