@@ -47,11 +47,8 @@ from .lines import (
     BushVectorRef,
     MidpointRef,
     Term,
-    child_line,
     intermediate_for_label,
-    intermediate_line,
     line_for_label,
-    root_line,
     sibling_deviation,
 )
 from .spaces import Functional, NormedSpace

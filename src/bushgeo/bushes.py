@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 import random
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -177,8 +176,8 @@ class BushIndex:
     (child j at level l + 1 with its parent) are the one ref object per
     generator that every line shares; ``int_weights[l][j]`` is child j's
     weight times ``weight_scale`` (the lcm of the weight denominators).
-    Also holds the parent map, the pair distances, the normalized flag and
-    the line memo.
+    Also holds the parent map, the pair distances and the normalized flag;
+    lines are not memoised.
     """
 
     def __init__(self, bush: Bush):
@@ -224,7 +223,6 @@ class BushIndex:
             [w.numerator * (den // w.denominator) for w in lev] for lev in bush.weights
         ]
         self.normalized = None  # set by lines.ensure_normalized
-        self.lines = OrderedDict()  # LRU memo of lines.line_for_label
 
     def norm(self, ii, vv) -> Scalar:
         """Norm of the vector with scaled coordinates vv at positions ii

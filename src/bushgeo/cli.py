@@ -102,7 +102,7 @@ def cmd_line_build(args) -> int:
     }
     if args.export:
         with open(args.export, "w") as fh:
-            fh.write(formats.line_table(line, args.number_format))
+            fh.writelines(formats.line_table(line, args.number_format))
         doc["exported"] = args.export
     _emit(args, doc)
     return PASS
@@ -164,6 +164,8 @@ def cmd_alpha_bruteforce(args) -> int:
     family = formats.family_from_dict(bush, formats.load_json(args.family))
     if args.grid:
         grid = [parse_rational(x) for x in args.grid.split(",")]
+    elif args.grid_depth < 0:
+        raise InputError(f"grid depth must be >= 0, got {args.grid_depth}")
     else:
         grid = line_for_label(bush, (0,) * args.grid_depth).arclengths
     report = brute_force_alpha(bush, family, args.n_max, grid)
@@ -206,14 +208,14 @@ def cmd_export(args) -> int:
             if args.intermediate
             else line_for_label(bush, label)
         )
-        table = formats.line_table(line, args.number_format)
+        rows = formats.line_table(line, args.number_format)
     elif args.geodesic:
         geo = formats.geodesic_from_dict(bush, formats.load_json(args.geodesic))
-        table = formats.geodesic_table(geo, samples=args.samples, mode=args.number_format)
+        rows = [formats.geodesic_table(geo, samples=args.samples, mode=args.number_format)]
     else:
         raise InputError("export needs --label or --geodesic")
     with open(args.out, "w") as fh:
-        fh.write(table)
+        fh.writelines(rows)
     _emit(args, {"exported": args.out})
     return PASS
 

@@ -8,7 +8,8 @@ line and within lambda_max**D of the limit geodesic everywhere else.
 ``PastedGeodesic`` glues branch pieces at shared vertices; ``paste``
 accepts exactly the checkable sufficient condition (each breakpoint is a
 vertex arclength of both adjacent rendered lines, with equal points).
-Evaluation, pasting and coverings descend the lines' trees, building none.
+Evaluation, pasting and coverings descend the lines' trees; witness gaps,
+gap-switch pastings and random junctions walk them.  None builds a line.
 
 ``challenge_respond`` plays the thickness game: given a pasted geodesic g
 and challenge arclengths t_i, it covers the t_i by vertex-aligned
@@ -30,15 +31,7 @@ from typing import Optional, Sequence
 
 from .bushes import Bush, depth_budget, lambda_max
 from .errors import BudgetError, InputError, PastingError
-from .lines import (
-    _check_label,
-    _descend,
-    _on_vertex,
-    _point,
-    format_label,
-    intermediate_for_label,
-    line_for_label,
-)
+from .lines import _bits, _check_label, _descend, _on_vertex, _point, _walk, format_label
 from .rationals import Vec
 
 ZERO = Fraction(0)
@@ -83,14 +76,15 @@ def default_depth(bush: Bush) -> int:
 
 
 def make_branch(bush: Bush, bits: Sequence[int], depth: Optional[int] = None) -> BranchSpec:
-    depth = default_depth(bush) if depth is None else depth
+    budget = depth_budget()
+    depth = min(bush.depth, budget) if depth is None else depth
     if depth > bush.depth:
         raise BudgetError(
             f"evaluation depth {depth} exceeds bush depth {bush.depth}", required=depth
         )
-    if depth > depth_budget():
+    if depth > budget:
         raise BudgetError(
-            f"evaluation depth {depth} exceeds depth budget {depth_budget()}", required=depth
+            f"evaluation depth {depth} exceeds depth budget {budget}", required=depth
         )
     return BranchSpec(tuple(bits), depth)
 
@@ -113,6 +107,7 @@ def branch_eval(bush: Bush, spec: BranchSpec, s) -> BranchValue:
             f"evaluation depth {spec.depth} exceeds bush depth {bush.depth}",
             required=spec.depth,
         )
+    _check_label(bush, spec.depth)
     value = _point(bush, _descend(bush, spec.extended_label(), s), s)
     return BranchValue(value, lambda_max(bush) ** spec.depth)
 
@@ -137,6 +132,7 @@ class PastedGeodesic:
         """Exact points at many arclengths, one tree descent each."""
         labels = [p.extended_label() for p in self.pieces]
         bush = self.bush
+        _check_label(bush, max(p.depth for p in self.pieces))  # refuses what any piece would
         return [_point(bush, _descend(bush, labels[self.piece_index(s)], s), s)
                 for s in map(Fraction, points)]
 
@@ -176,8 +172,7 @@ def paste(bush: Bush, breakpoints: Sequence, pieces: Sequence[BranchSpec]) -> Pa
                 f"piece depth {piece.depth} exceeds bush depth {bush.depth}",
                 required=piece.depth,
             )
-    for piece in pieces:
-        _check_label(bush, piece.depth)
+    _check_label(bush, max(p.depth for p in pieces))  # refuses what any piece would
     junctions = []  # (h, left path, right path); all vertex checks come first
     for h, *sides in zip(breakpoints[1:-1], pieces, pieces[1:]):
         paths = [_descend(bush, p.extended_label(), h) for p in sides]
@@ -208,23 +203,26 @@ def gap_switch_pasting(
     children share every gap boundary, so any 0/1 pattern over the gaps is
     a valid pasting.  Adjacent equal bits are merged into one piece.
     """
-    prefix = tuple(int(b) for b in prefix)
-    mid = intermediate_for_label(bush, prefix)
-    arcs = mid.arclengths
+    prefix = _bits(prefix)
+    den, gaps = _walk(bush, prefix, True)
+    ends = [Fraction(start + length, den) for start, length, _ in gaps]
     pattern = [int(b) for b in pattern]
-    if len(pattern) != len(mid.terms):
+    if len(pattern) != len(ends):
         raise InputError(
-            f"pattern length {len(pattern)} != {len(mid.terms)} gaps of the "
+            f"pattern length {len(pattern)} != {len(ends)} gaps of the "
             f"intermediate line of {format_label(prefix) or '()'}"
         )
     breakpoints = [ZERO]
     pieces = []
+    branches = {}  # one spec per child
     for i, bit in enumerate(pattern):
         if pieces and pattern[i - 1] == bit:
-            breakpoints[-1] = arcs[i + 1]
+            breakpoints[-1] = ends[i]
             continue
-        pieces.append(make_branch(bush, prefix + (bit,), depth))
-        breakpoints.append(arcs[i + 1])
+        if bit not in branches:
+            branches[bit] = make_branch(bush, prefix + (bit,), depth)
+        pieces.append(branches[bit])
+        breakpoints.append(ends[i])
     return paste(bush, breakpoints, pieces)
 
 
@@ -278,6 +276,7 @@ def _covering_for_piece(bush, piece, h0, h1, ts, cap):
     point gives its gap at every L (lines past the budget are refused)."""
     levels = min(cap, depth_budget() + 1)
     label = piece.extended_label(max(levels - 1, 0))
+    _check_label(bush, len(label))
     ends = [_descend(bush, label, h) for h in (h0, h1)]
     paths = [(t, _descend(bush, label, t)) for t in ts]
     for level in range(levels):
@@ -371,19 +370,16 @@ def challenge_respond(
             q_points.update((a, b))
 
         # witness deviation: one s-point per intermediate-line gap in the
-        # complement; both geodesics pass through every gap boundary
-        mid = intermediate_for_label(bush, piece.extended_label(level))
-        oarcs = mid.arclengths
+        # complement; both geodesics pass through every gap boundary, and
+        # the complement's ends are vertices, so its gaps are the walk's
         for a, b in complements:
-            lo = bisect_left(oarcs, a)
-            while lo + 1 < len(oarcs) and oarcs[lo + 1] <= b:
-                coeff, ref = mid.terms[lo]
+            den, gaps = _walk(bush, piece.extended_label(level), True, a, b)
+            for start, length, ref in gaps:
+                coeff = Fraction(length, den)
                 dev = coeff * HALF * bush._index.pair_distances[ref]
-                s_point = oarcs[lo] + coeff * HALF
-                gap_records.append(DeviationPoint(s_point, dev))
+                gap_records.append(DeviationPoint(Fraction(2 * start + length, 2 * den), dev))
                 deviation_total += dev
-                q_points.update((oarcs[lo], oarcs[lo + 1]))
-                lo += 1
+                q_points.update((Fraction(start, den), Fraction(start + length, den)))
 
         piece_records.append(
             PieceRecord(h0, h1, level, flip_position, tuple(covers), complements)
@@ -560,6 +556,8 @@ def brute_force_alpha(
         )
     if n_max > MAX_POINTS:
         raise BudgetError(f"n_max = {n_max} exceeds the brute-force budget {MAX_POINTS}")
+    if n_max < 0:
+        raise InputError(f"n_max must be >= 0, got {n_max}")
     if not family:
         raise InputError("family must be nonempty")
     grid = sorted(set(Fraction(x) for x in grid))
@@ -650,8 +648,9 @@ def random_challenge(
     for _ in range(n_pieces - 1):
         m = rng.randint(1, junction_depth)
         shared = specs[-1].extended_label(m)
-        arcs = line_for_label(bush, shared).arclengths
-        candidates = [a for a in arcs if last < a < 1]
+        den, walk = _walk(bush, shared, False, last, ONE)
+        candidates = [Fraction(start + length, den) for start, length, _ in walk
+                      if start + length < den]
         if not candidates:
             break
         h = rng.choice(candidates)

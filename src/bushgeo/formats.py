@@ -238,19 +238,19 @@ def dumps_report(doc: dict) -> str:
 # --------------------------------------------------------------- exports
 
 
-def line_table(line: BrokenLine, mode: str = "rational") -> str:
-    """Vertex table of a broken line: arclength column plus coordinates."""
+def line_table(line: BrokenLine, mode: str = "rational"):
+    """Vertex table of a broken line, yielded one text row at a time:
+    two header rows, then the arclength and coordinates of each vertex."""
     tag = "~" if line.intermediate else ""
-    rows = [
+    dim = line.bush.space.dimension
+    yield (
         f"# label={tag}{format_label(line.label) or '()'} "
-        f"terms={len(line.terms)} dimension={line.bush.space.dimension} format={mode}",
-        "arclength\t" + "\t".join(f"x{i}" for i in range(line.bush.space.dimension)),
-    ]
+        f"terms={len(line.terms)} dimension={dim} format={mode}\n"
+    )
+    yield "arclength\t" + "\t".join(f"x{i}" for i in range(dim)) + "\n"
     for arc, point in line.vertices():
-        rows.append(
-            format_number(arc, mode) + "\t" + "\t".join(format_number(x, mode) for x in point)
-        )
-    return "\n".join(rows) + "\n"
+        cells = (format_number(x, mode) for x in (arc, *point))
+        yield "\t".join(cells) + "\n"
 
 
 def geodesic_table(geo: PastedGeodesic, samples: int = 64, mode: str = "rational") -> str:

@@ -12,9 +12,11 @@ arclength on [0, 1].  Lines are labelled by bit strings:
   line into the halves (parent, child) (resp. (child, parent)).
 
 Each step (`_run`) replaces a term by a run of terms with the same sum, so
-a line is a substitution tree: points are found by one integer descent
-(`_descend`, `_point`) without building the line.  Only `vertices()` and
-the memoised builders materialise terms.
+a line is a substitution tree with two readers, both in integers: one
+descent (`_descend`, `_point`) finds the point at an arclength, and one
+window walk (`_walk`) lists the terms meeting an arclength window, in
+order.  `line_for_label` and `intermediate_for_label` build whole lines
+from the walk; nothing is memoised.
 
 Both children of a label pass through every vertex of the intermediate
 line; between two consecutive intermediate vertices they acquire new
@@ -36,8 +38,6 @@ from .rationals import Vec
 HALF = Fraction(1, 2)
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-_MEMO_MAX_LINES = 128
 
 
 class Term(NamedTuple):
@@ -100,30 +100,34 @@ class BrokenLine:
     def eval_batch(self, points: Sequence[Fraction]) -> list:
         """Exact points at many arclengths, one tree descent each."""
         bush, label, mid = self.bush, self.label, self.intermediate
+        _check_label(bush, len(label), mid)
         return [_point(bush, _descend(bush, label, s, mid), s) for s in map(Fraction, points)]
 
     def eval_at(self, s) -> Vec:
         """Point at arclength s in [0, 1] (exact for rational s)."""
         return self.eval_batch([s])[0]
 
-    def vertices(self) -> list:
-        """All (arclength, point) pairs; size grows ~4^p with label length."""
-        bush = self.bush
-        dim = bush.space.dimension
-        arcs = self.arclengths
-        index = bush._index
-        scale = index.scale
+    def vertices(self):
+        """Yield every (arclength, point) pair in order, one row at a time
+        (a length-p line has ~4^p of them).  A row keeps the coordinate
+        objects of the row before where they did not change, and equal new
+        coordinates share one object."""
+        index = self.bush._index
+        dim = self.bush.space.dimension
         P = math.lcm(*(t.coeff.denominator for t in self.terms))
-        PS = P * scale
-        acc = [0] * dim
-        result = [(ZERO, (ZERO,) * dim)]
-        for (coeff, ref), arc in zip(self.terms, arcs[1:]):
+        PS = P * index.scale
+        arc, acc, point = 0, [0] * dim, [ZERO] * dim
+        yield ZERO, tuple(point)
+        for coeff, ref in self.terms:
             m = coeff.numerator * (P // coeff.denominator)
-            ii, vv = index.supports[ref]
-            for i, v in zip(ii, vv):
-                acc[i] += m * v
-            result.append((arc, tuple(Fraction(a, PS) for a in acc)))
-        return result
+            arc += m
+            fresh = {}
+            for i, v in zip(*index.supports[ref]):
+                a = acc[i] = acc[i] + m * v
+                if a not in fresh:
+                    fresh[a] = Fraction(a, PS)
+                point[i] = fresh[a]
+            yield Fraction(arc, P), tuple(point)
 
 
 def ensure_normalized(bush: Bush, tol: float = 1e-9):
@@ -180,28 +184,6 @@ def _run(bush: Bush, ref: BushVectorRef, bit: Optional[int]) -> list:
     return run
 
 
-def _refine(bush: Bush, line: BrokenLine, bit: Optional[int]) -> tuple:
-    """The terms of ``line`` after one `_run` step.  Runs of one shared
-    coefficient object are common, so their products are shared."""
-    if line.bush is not bush:
-        raise InputError("line belongs to a different bush")
-    if line.intermediate:
-        raise InputError("line is already intermediate")
-    _check_label(bush, len(line.label) + (bit is not None), intermediate=bit is None)
-    den = 2 * bush._index.weight_scale
-    runs, out, prev = {}, [], None
-    for coeff, ref in line.terms:
-        run = runs.get(ref) or runs.setdefault(ref, _run(bush, ref, bit))
-        if coeff is not prev:
-            prev, products = coeff, {}
-        for n, r in run:
-            c = products.get(n)
-            if c is None:
-                c = products[n] = coeff * Fraction(n, den)
-            out.append(Term(c, r))
-    return tuple(out)
-
-
 def _descend(bush: Bush, label: tuple, s: Fraction, intermediate: bool = False) -> list:
     """Follow arclength ``s`` down the `_run` steps to the line of ``label``.
 
@@ -209,11 +191,10 @@ def _descend(bush: Bush, label: tuple, s: Fraction, intermediate: bool = False) 
     (then the intermediate line): its first term ending at or after s spans
     [start/den, (start + length)/den], and ``before`` holds the ``(length,
     ref)`` terms before it in the run that replaced entry i - 1's term.
-    Compares integers only; raises what building the line would raise.
+    Compares integers only; the caller checks the label (`_check_label`).
     """
     if not 0 <= s <= 1:
         raise InputError(f"arclength {s} outside [0, 1]")
-    _check_label(bush, len(label), intermediate)
     index = bush._index
     step = 2 * index.weight_scale
     sn, sd = s.numerator, s.denominator
@@ -257,61 +238,81 @@ def _on_vertex(entry: tuple, s: Fraction) -> bool:
     return s.numerator * den in (start * sd, (start + length) * sd)
 
 
-def root_line(bush: Bush) -> BrokenLine:
-    """The empty-label line: the straight segment from 0 to the root vector."""
-    ensure_normalized(bush)
-    return BrokenLine(bush, (), False, (Term(ONE, bush._index.vector_refs[0][0]),))
+def _walk(bush: Bush, label: tuple, intermediate: bool = False, a=ZERO, b=ONE):
+    """The terms of the line of ``label`` (or of its intermediate line) that
+    meet the open arclength window (a, b), in order.
 
-
-def intermediate_line(bush: Bush, line: BrokenLine) -> BrokenLine:
-    """Replace each bush-vector term by its weighted-midpoint block.
-
-    Preserves the vector sum and the arclength sum exactly; the result
-    carries the same label flagged as intermediate.
+    Returns ``(den, terms)``; ``terms`` yields ``(start, length, ref)`` for
+    a term spanning [start/den, (start + length)/den].  When a and b are
+    vertices these are exactly the terms inside [a, b].  One depth-first
+    pass over the `_run` tree skips every subtree outside the window.
+    Raises what building the line would raise, before yielding anything.
     """
-    return BrokenLine(bush, line.label, True, _refine(bush, line, None))
+    _check_label(bush, len(label), intermediate)
+    index = bush._index
+    step = 2 * index.weight_scale
+    bits = (*label, None) if intermediate else label
+    den = step ** len(bits)
+    # a term [start, end] meets (a, b) iff start < hi and end > lo
+    lo, hi = math.floor(a * den), math.ceil(b * den)
+
+    def terms():
+        runs = {}
+        last = len(bits) - 1
+        stack = [(0, den, index.vector_refs[0][0], 0)]
+        while stack:
+            start, length, ref, i = stack.pop()
+            if i > last:  # the empty label's line is its root term
+                yield start, length, ref
+                continue
+            key = (bits[i], ref)
+            run = runs.get(key) or runs.setdefault(key, _run(bush, ref, bits[i]))
+            kids = []
+            for n, r in run:
+                piece = length * n // step
+                if start < hi and start + piece > lo:
+                    if i == last:
+                        yield start, piece, r
+                    else:
+                        kids.append((start, piece, r, i + 1))
+                start += piece
+            stack += reversed(kids)
+
+    return den, terms()
 
 
-def child_line(bush: Bush, line: BrokenLine, bit: int) -> BrokenLine:
-    """Label extension: each term becomes the split halves of its midpoints,
-    (parent, child) for bit 0 and (child, parent) for bit 1; the
-    intermediate line in between is not built."""
-    if bit not in (0, 1):
-        raise InputError(f"bit must be 0 or 1, got {bit!r}")
-    return BrokenLine(bush, line.label + (bit,), False, _refine(bush, line, bit))
-
-
-def _memo_put(memo, key, line: BrokenLine):
-    memo[key] = line
-    memo.move_to_end(key)
-    while len(memo) > _MEMO_MAX_LINES:
-        memo.popitem(last=False)
-
-
-def line_for_label(bush: Bush, label: Sequence[int]) -> BrokenLine:
-    """Memoized line for a bit-string label (built through its prefixes)."""
+def _bits(label: Sequence[int]) -> tuple:
     label = tuple(int(b) for b in label)
     if any(b not in (0, 1) for b in label):
         raise InputError(f"label must consist of bits, got {label}")
-    memo = bush._index.lines
-    k = len(label)
-    while k > 0 and label[:k] not in memo:  # the deepest cached prefix
-        k -= 1
-    line = memo.get(label[:k]) or root_line(bush)
-    _memo_put(memo, line.label, line)
-    for bit in label[k:]:
-        line = child_line(bush, line, bit)
-        _memo_put(memo, line.label, line)
-    return line
+    return label
+
+
+def _build(bush: Bush, label: Sequence[int], intermediate: bool) -> BrokenLine:
+    """The whole line from one walk.  Terms repeat a lot, so equal terms
+    share one object, and equal lengths one coefficient."""
+    label = _bits(label)
+    den, leaves = _walk(bush, label, intermediate)
+    coeffs, shared, terms = {}, {}, []
+    for _, length, ref in leaves:
+        term = shared.get((length, ref))
+        if term is None:
+            coeff = coeffs.get(length) or coeffs.setdefault(length, Fraction(length, den))
+            term = shared[length, ref] = Term(coeff, ref)
+        terms.append(term)
+    return BrokenLine(bush, label, intermediate, terms)
+
+
+def line_for_label(bush: Bush, label: Sequence[int]) -> BrokenLine:
+    """The line of a bit-string label; the empty label is the straight
+    segment from 0 to the root vector."""
+    return _build(bush, label, False)
 
 
 def intermediate_for_label(bush: Bush, label: Sequence[int]) -> BrokenLine:
-    """Memoized intermediate refinement of the line for ``label``."""
-    key = (tuple(int(b) for b in label), "mid")
-    memo = bush._index.lines
-    line = memo.get(key) or intermediate_line(bush, line_for_label(bush, key[0]))
-    _memo_put(memo, key, line)
-    return line
+    """The intermediate line of ``label``: every term ``c * x[l][k]`` of its
+    line replaced by the weighted midpoints of the block below k."""
+    return _build(bush, label, True)
 
 
 def parse_label(text: str) -> tuple:
@@ -381,10 +382,10 @@ def sibling_deviation(
     ||x_parent - x_child||, which is >= (gap length) * epsilon / 2.  The
     full selection therefore totals at least epsilon / 2.
     """
-    label = tuple(int(b) for b in label)
-    mid = intermediate_for_label(bush, label)
-    arcs = mid.arclengths
-    n = len(mid.terms)
+    label = _bits(label)
+    den, walk = _walk(bush, label, True)
+    terms = list(walk)
+    n = len(terms)
     if selection is None:
         chosen = range(n)
     else:
@@ -395,15 +396,16 @@ def sibling_deviation(
     total = ZERO
     selected_length = ZERO
     for i in chosen:
-        coeff, ref = mid.terms[i]
+        start, length, ref = terms[i]
+        coeff = Fraction(length, den)
         dev = coeff * HALF * bush._index.pair_distances[ref]
         gaps.append(
             GapDeviation(
                 index=i,
-                start=arcs[i],
-                end=arcs[i + 1],
+                start=Fraction(start, den),
+                end=Fraction(start + length, den),
                 length=coeff,
-                midpoint_arclength=arcs[i] + coeff * HALF,
+                midpoint_arclength=Fraction(2 * start + length, 2 * den),
                 deviation=dev,
                 ref=ref,
             )

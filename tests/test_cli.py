@@ -167,6 +167,19 @@ def test_alpha_bruteforce_cli(bush_file, tmp_path, capsys):
     assert doc["alpha_bound"] == "1/2"
 
 
+def test_alpha_bruteforce_rejects_negative_counts(bush_file, tmp_path, capsys):
+    bush = dyadic_bush(1)
+    family_path = tmp_path / "family.json"
+    dump_json(family_to_dict([branch_geodesic(bush, (0,))]), family_path)
+    argv = ["alpha-bruteforce", bush_file(1), "--family", str(family_path)]
+    for extra, message in [
+        (["--grid-depth", "-1"], "grid depth must be >= 0, got -1"),
+        (["--n-max", "-1", "--grid", "0,1"], "n_max must be >= 0, got -1"),
+    ]:
+        assert main(argv + extra) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_gauge_eval_cli(bush_file, capsys):
     code, doc = _run(capsys, ["gauge-eval", bush_file(2), "--bush-vectors"])
     assert code == 0

@@ -430,6 +430,8 @@ def test_brute_force_budgets(dyadic):
         brute_force_alpha(bush, [g] * 65, 1, [F(0), F(1)])
     with pytest.raises(BudgetError):
         brute_force_alpha(bush, [g], 4, [F(0), F(1)])
+    with pytest.raises(InputError, match="n_max must be >= 0, got -1"):
+        brute_force_alpha(bush, [g], -1, [F(0), F(1)])
     with pytest.raises(InputError):
         brute_force_alpha(bush, [], 1, [F(0)])
     with pytest.raises(InputError):

@@ -103,7 +103,7 @@ def test_decimal_formatting():
 
 def test_line_table(dyadic):
     bush = dyadic(1)
-    table = line_table(line_for_label(bush, (0,)))
+    table = "".join(line_table(line_for_label(bush, (0,))))
     rows = table.strip().split("\n")
     assert rows[0].startswith("# label=0")
     assert rows[1] == "arclength\tx0\tx1"

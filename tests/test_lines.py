@@ -11,19 +11,16 @@ from bushgeo import (
     InputError,
     MidpointRef,
     Term,
-    child_line,
     dyadic_bush,
     intermediate_for_label,
-    intermediate_line,
     lambda_max,
     line_for_label,
     random_bush,
-    root_line,
     shift_bush,
     sibling_deviation,
 )
 from bushgeo.bushes import DEPTH_BUDGET_ENV
-from bushgeo.lines import format_label, parse_label
+from bushgeo.lines import _walk, format_label, parse_label
 
 F = Fraction
 
@@ -38,9 +35,9 @@ def _rand_arclength(rng):
 
 def test_root_line(dyadic):
     bush = dyadic(1)
-    line = root_line(bush)
+    line = line_for_label(bush, ())
     assert line.terms == (Term(F(1), BushVectorRef(0, 0)),)
-    assert line.vertices() == [(F(0), (F(0), F(0))), (F(1), (F(1), F(1)))]
+    assert list(line.vertices()) == [(F(0), (F(0), F(0))), (F(1), (F(1), F(1)))]
     assert sum(t.coeff for t in line.terms) == 1
     assert line.eval_at(F(1, 2)) == (F(1, 2), F(1, 2))
 
@@ -48,12 +45,12 @@ def test_root_line(dyadic):
 def test_root_line_rejects_unnormalized_bush(dyadic):
     shifted = shift_bush(dyadic(1), (1, 1))
     with pytest.raises(InputError):
-        root_line(shifted)
+        line_for_label(shifted, ())
 
 
 def test_intermediate_of_root(dyadic):
     bush = dyadic(1)
-    mid = intermediate_line(bush, root_line(bush))
+    mid = intermediate_for_label(bush, ())
     assert mid.intermediate
     assert mid.terms == (
         Term(F(1, 2), MidpointRef(1, 0, 0)),
@@ -64,9 +61,8 @@ def test_intermediate_of_root(dyadic):
 
 def test_child_lines_depth1(dyadic):
     bush = dyadic(1)
-    root = root_line(bush)
-    zero = child_line(bush, root, 0)
-    one = child_line(bush, root, 1)
+    zero = line_for_label(bush, (0,))
+    one = line_for_label(bush, (1,))
     quarter = F(1, 4)
     assert zero.terms == (
         Term(quarter, BushVectorRef(0, 0)),
@@ -86,7 +82,7 @@ def test_child_lines_depth1(dyadic):
 
 def test_child_vertices_depth1(dyadic):
     zero = line_for_label(dyadic(1), (0,))
-    assert zero.vertices() == [
+    assert list(zero.vertices()) == [
         (F(0), (F(0), F(0))),
         (F(1, 4), (F(1, 4), F(1, 4))),
         (F(1, 2), (F(3, 4), F(1, 4))),
@@ -119,7 +115,7 @@ def test_exact_conservation_all_labels(dyadic):
             label = tuple((bits >> i) & 1 for i in range(p))
             line = line_for_label(bush, label)
             assert sum(t.coeff for t in line.terms) == 1
-            total = line.vertices()[-1][1]
+            total = list(line.vertices())[-1][1]
             assert total == root_vec
             # a non-intermediate line of label length p only references
             # generators of level <= p
@@ -192,28 +188,21 @@ def test_distance_preservation_random_bush():
 
 def test_depth_errors(dyadic, monkeypatch):
     bush = dyadic(2)
-    deepest = line_for_label(bush, (0, 1))
+    line_for_label(bush, (0, 1))
     with pytest.raises(BudgetError):
-        child_line(bush, deepest, 0)  # bush depth exhausted
+        line_for_label(bush, (0, 1, 0))  # bush depth exhausted
     monkeypatch.setenv(DEPTH_BUDGET_ENV, "1")
+    line_for_label(bush, (0,))
     with pytest.raises(BudgetError):
-        child_line(bush, line_for_label(bush, (0,)), 1)  # label budget exhausted
+        line_for_label(bush, (0, 1))  # label budget exhausted
 
 
 def test_intermediate_input_checks(dyadic):
     bush = dyadic(2)
-    mid = intermediate_for_label(bush, (0,))
     with pytest.raises(InputError):
-        intermediate_line(bush, mid)  # already intermediate
+        intermediate_for_label(bush, (0, 2))  # not a bit
     with pytest.raises(InputError):
-        child_line(bush, line_for_label(bush, (0,)), 2)
-
-
-def test_memoization(dyadic):
-    bush = dyadic(2)
-    a = line_for_label(bush, (0, 1))
-    b = line_for_label(bush, (0, 1))
-    assert a is b
+        line_for_label(bush, (0, 2))
 
 
 def test_sibling_deviation_depth1(dyadic):
@@ -271,12 +260,11 @@ def test_zero_weight_children_are_skipped():
     line = line_for_label(bush, (0,))
     assert all(t.coeff > 0 for t in line.terms)
     assert sum(t.coeff for t in line.terms) == 1
-    assert line.vertices()[-1][1] == (1, 1, 1)
+    assert list(line.vertices())[-1][1] == (1, 1, 1)
 
 
 def test_parallel_label_builds_are_deterministic(dyadic):
-    # distinct labels may build concurrently; the memo tolerates races
-    # because equal keys always map to equal values
+    # distinct labels may build concurrently; builds share no state
     from concurrent.futures import ThreadPoolExecutor
 
     bush = dyadic(4)
@@ -330,6 +318,44 @@ def _scaled(points, den):
     return [tuple(x.numerator * (den // x.denominator) for x in point) for point in points]
 
 
+def _reference_terms(bush, label, intermediate=False):
+    """The (coeff, ref) terms of a line, built from the module docstring's
+    definition in Fractions over ``bush.partitions`` and ``bush.weights``."""
+    terms = [(F(1), BushVectorRef(0, 0))]
+    for bit in (*label, None) if intermediate else label:
+        refined = []
+        for c, (level, k) in terms:
+            for j in bush.partitions[level][k]:
+                w = F(bush.weights[level][j])
+                if bit is None:
+                    refined.append((c * w, MidpointRef(level + 1, k, j)))
+                else:
+                    halves = [(c * w / 2, BushVectorRef(level, k)),
+                              (c * w / 2, BushVectorRef(level + 1, j))]
+                    refined += halves[::-1] if bit else halves
+        terms = [t for t in refined if t[0]]
+    return terms
+
+
+def _reference_vertices(bush, terms):
+    """Every (arclength, point) of a line from its terms, in Fractions."""
+    def support(ref):
+        if isinstance(ref, MidpointRef):
+            pairs = zip(bush.levels[ref.level - 1][ref.parent], bush.levels[ref.level][ref.child])
+            return [(i, (F(x) + F(y)) / 2) for i, (x, y) in enumerate(pairs) if x or y]
+        return [(i, F(x)) for i, x in enumerate(bush.levels[ref.level][ref.index]) if x]
+
+    supports = {ref: support(ref) for ref in {ref for _, ref in terms}}
+    arc, point = F(0), [F(0)] * bush.space.dimension
+    rows = [(arc, tuple(point))]
+    for c, ref in terms:
+        arc += c
+        for i, x in supports[ref]:
+            point[i] += c * x
+        rows.append((arc, tuple(point)))
+    return rows
+
+
 DESCENT_BUSHES = {
     "dyadic_5": lambda: dyadic_bush(5),
     "random_1_d5": lambda: random_bush(1, depth=5),
@@ -339,9 +365,11 @@ DESCENT_BUSHES = {
 
 @pytest.mark.parametrize("name", sorted(DESCENT_BUSHES))
 def test_descent_matches_materialised_lines(name):
-    # eval_batch descends the substitution tree; vertices() walks the built
-    # line: both must give the same exact point at every vertex, every gap
-    # midpoint and some non-dyadic arclengths, on plain and intermediate lines
+    # the reference builds every line from the definition; the walk-built
+    # line (terms and vertices) must equal it, and eval_batch, which descends
+    # the substitution tree, must give the same exact point at every vertex,
+    # every gap midpoint and some non-dyadic arclengths, on plain and
+    # intermediate lines
     bush = DESCENT_BUSHES[name]()
     others = [F(k, d) for d in (3, 7, 9) for k in range(1, d)]
     for p in range(6):
@@ -351,7 +379,11 @@ def test_descent_matches_materialised_lines(name):
             if p < bush.depth:
                 lines.append(intermediate_for_label(bush, label))
             for line in lines:
-                arcs, values = zip(*line.vertices())
+                terms = _reference_terms(bush, label, line.intermediate)
+                assert list(line.terms) == terms, (label, line.intermediate)
+                rows = _reference_vertices(bush, terms)
+                assert list(line.vertices()) == rows, (label, line.intermediate)
+                arcs, values = zip(*rows)
                 mids = [(a + b) / 2 for a, b in zip(arcs, arcs[1:])]
                 got = line.eval_batch(list(arcs) + mids + others)
                 # vertices and gap midpoints compare as integers over 2 * lcm
@@ -366,3 +398,45 @@ def test_descent_matches_materialised_lines(name):
                 assert _scaled(got[k : 2 * k - 1], den) == at_mids, (label, line.intermediate)
                 expected = [_interpolate(arcs, values, s) for s in others]
                 assert got[2 * k - 1 :] == expected, (label, line.intermediate)
+
+
+def _window(bush, label, intermediate, a, b):
+    den, walk = _walk(bush, label, intermediate, a, b)
+    return [(F(start, den), F(start + length, den), ref) for start, length, ref in walk]
+
+
+@pytest.mark.parametrize("name", ["dyadic_5", "random_5_d5_x4"])
+def test_walk_lists_the_terms_of_a_window(name):
+    # a vertex-aligned window gives exactly the reference terms inside it;
+    # any other window gives the terms meeting its interior
+    bush = DESCENT_BUSHES[name]()
+    rng = random.Random(12)
+    for _ in range(80):
+        label = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 4)))
+        intermediate = rng.random() < 0.5
+        terms = _reference_terms(bush, label, intermediate)
+        arcs = [F(0)]
+        for c, _ in terms:
+            arcs.append(arcs[-1] + c)
+        spans = [(s, e, ref) for s, e, (_, ref) in zip(arcs, arcs[1:], terms)]
+        i, j = sorted(rng.sample(range(len(arcs)), 2))
+        assert _window(bush, label, intermediate, arcs[i], arcs[j]) == spans[i:j]
+        a, b = sorted((_rand_arclength(rng), _rand_arclength(rng)))
+        if a < b:
+            meeting = [span for span in spans if span[1] > a and span[0] < b]
+            assert _window(bush, label, intermediate, a, b) == meeting, (label, a, b)
+
+
+def test_vertices_stream_row_by_row():
+    import itertools
+    import tracemalloc
+
+    line = line_for_label(dyadic_bush(6), (0, 1, 1, 0, 1, 0))  # 4,097 rows of 64 coordinates
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(line.vertices(), 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [arc for arc, _ in first] == [0, *itertools.accumulate(t.coeff for t in line.terms[:2])]
+    assert peak < 2**20
