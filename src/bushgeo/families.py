@@ -9,7 +9,7 @@ line and within lambda_max**D of the limit geodesic everywhere else.
 accepts exactly the checkable sufficient condition (each breakpoint is a
 vertex arclength of both adjacent rendered lines, with equal points).
 Evaluation, pasting and coverings descend the lines' trees; witness gaps,
-gap-switch pastings and random junctions walk them.  None builds a line.
+gap-switch pastings and random junctions read windows.  None builds a line.
 
 ``challenge_respond`` plays the thickness game: given a pasted geodesic g
 and challenge arclengths t_i, it covers the t_i by vertex-aligned
@@ -31,7 +31,8 @@ from typing import Optional, Sequence
 
 from .bushes import Bush, depth_budget, lambda_max
 from .errors import BudgetError, InputError, PastingError
-from .lines import _bits, _check_label, _descend, _on_vertex, _point, _walk, format_label
+from .lines import (_check_label, _descend, _on_vertex, _point, format_label,
+                    intermediate_for_label, line_for_label)
 from .rationals import Vec
 
 ZERO = Fraction(0)
@@ -203,14 +204,14 @@ def gap_switch_pasting(
     children share every gap boundary, so any 0/1 pattern over the gaps is
     a valid pasting.  Adjacent equal bits are merged into one piece.
     """
-    prefix = _bits(prefix)
-    den, gaps = _walk(bush, prefix, True)
+    mid = intermediate_for_label(bush, prefix)
+    den, gaps = mid.window()
     ends = [Fraction(start + length, den) for start, length, _ in gaps]
     pattern = [int(b) for b in pattern]
     if len(pattern) != len(ends):
         raise InputError(
             f"pattern length {len(pattern)} != {len(ends)} gaps of the "
-            f"intermediate line of {format_label(prefix) or '()'}"
+            f"intermediate line of {format_label(mid.label) or '()'}"
         )
     breakpoints = [ZERO]
     pieces = []
@@ -220,7 +221,7 @@ def gap_switch_pasting(
             breakpoints[-1] = ends[i]
             continue
         if bit not in branches:
-            branches[bit] = make_branch(bush, prefix + (bit,), depth)
+            branches[bit] = make_branch(bush, mid.label + (bit,), depth)
         pieces.append(branches[bit])
         breakpoints.append(ends[i])
     return paste(bush, breakpoints, pieces)
@@ -371,9 +372,10 @@ def challenge_respond(
 
         # witness deviation: one s-point per intermediate-line gap in the
         # complement; both geodesics pass through every gap boundary, and
-        # the complement's ends are vertices, so its gaps are the walk's
+        # the complement's ends are vertices, so its gaps are the window's
+        mid = intermediate_for_label(bush, piece.extended_label(level))
         for a, b in complements:
-            den, gaps = _walk(bush, piece.extended_label(level), True, a, b)
+            den, gaps = mid.window(a, b)
             for start, length, ref in gaps:
                 coeff = Fraction(length, den)
                 dev = coeff * HALF * bush._index.pair_distances[ref]
@@ -648,7 +650,7 @@ def random_challenge(
     for _ in range(n_pieces - 1):
         m = rng.randint(1, junction_depth)
         shared = specs[-1].extended_label(m)
-        den, walk = _walk(bush, shared, False, last, ONE)
+        den, walk = line_for_label(bush, shared).window(last, ONE)
         candidates = [Fraction(start + length, den) for start, length, _ in walk
                       if start + length < den]
         if not candidates:

@@ -15,8 +15,8 @@ Each step (`_run`) replaces a term by a run of terms with the same sum, so
 a line is a substitution tree with two readers, both in integers: one
 descent (`_descend`, `_point`) finds the point at an arclength, and one
 window walk (`_walk`) lists the terms meeting an arclength window, in
-order.  `line_for_label` and `intermediate_for_label` build whole lines
-from the walk; nothing is memoised.
+order.  `line_for_label` and `intermediate_for_label` return checked, lazy
+`BrokenLine` views over the walk; nothing is memoised.
 
 Both children of a label pass through every vertex of the intermediate
 line; between two consecutive intermediate vertices they acquire new
@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 from .bushes import Bush, BushVectorRef, GeneratorRef, MidpointRef, depth_budget, validate_bush
@@ -61,32 +62,46 @@ def generator_vector(bush: Bush, ref: GeneratorRef) -> Vec:
 
 
 class BrokenLine:
-    """One labelled broken line; immutable after construction."""
+    """One labelled line, immutable: a (bush, label, intermediate) view from
+    the builders, which check the label.  Its terms are built when read."""
 
-    __slots__ = ("bush", "label", "intermediate", "terms", "_arcs", "__weakref__")
+    __slots__ = ("bush", "label", "intermediate", "_terms", "_arcs", "__weakref__")
 
-    def __init__(self, bush: Bush, label: tuple, intermediate: bool, terms: tuple):
+    def __init__(self, bush: Bush, label: tuple, intermediate: bool):
         self.bush = bush
         self.label = tuple(label)
         self.intermediate = bool(intermediate)
-        self.terms = tuple(terms)
+        self._terms = None
         self._arcs = None
 
     def __repr__(self):
         tag = "~" if self.intermediate else ""
-        lbl = "".join(str(b) for b in self.label) or "()"
-        return f"BrokenLine({tag}{lbl}, {len(self.terms)} terms)"
+        return f"BrokenLine({tag}{format_label(self.label) or '()'})"  # builds nothing
+
+    @property
+    def terms(self) -> tuple:
+        """Every term, from one walk; equal terms and lengths share objects."""
+        if self._terms is None:
+            den, leaves = self.window()
+            coeffs, shared, terms = {}, {}, []
+            for _, length, ref in leaves:
+                term = shared.get((length, ref))
+                if term is None:
+                    coeff = coeffs.get(length) or coeffs.setdefault(length, Fraction(length, den))
+                    term = shared[length, ref] = Term(coeff, ref)
+                terms.append(term)
+            self._terms = tuple(terms)
+        return self._terms
+
+    def window(self, a=ZERO, b=ONE):
+        """`_walk` over the open arclength window (a, b); builds nothing."""
+        return _walk(self.bush, self.label, self.intermediate, a, b)
 
     @property
     def arclengths(self) -> tuple:
         """Cumulative arclengths of the vertices (length = #terms + 1)."""
         if self._arcs is None:
-            arcs = [ZERO]
-            acc = ZERO
-            for t in self.terms:
-                acc += t.coeff
-                arcs.append(acc)
-            self._arcs = tuple(arcs)
+            self._arcs = (ZERO, *accumulate(t.coeff for t in self.terms))
         return self._arcs
 
     @property
@@ -246,9 +261,8 @@ def _walk(bush: Bush, label: tuple, intermediate: bool = False, a=ZERO, b=ONE):
     a term spanning [start/den, (start + length)/den].  When a and b are
     vertices these are exactly the terms inside [a, b].  One depth-first
     pass over the `_run` tree skips every subtree outside the window.
-    Raises what building the line would raise, before yielding anything.
+    The caller checks the label (`_check_label`).
     """
-    _check_label(bush, len(label), intermediate)
     index = bush._index
     step = 2 * index.weight_scale
     bits = (*label, None) if intermediate else label
@@ -281,38 +295,23 @@ def _walk(bush: Bush, label: tuple, intermediate: bool = False, a=ZERO, b=ONE):
     return den, terms()
 
 
-def _bits(label: Sequence[int]) -> tuple:
-    label = tuple(int(b) for b in label)
-    if any(b not in (0, 1) for b in label):
-        raise InputError(f"label must consist of bits, got {label}")
-    return label
-
-
-def _build(bush: Bush, label: Sequence[int], intermediate: bool) -> BrokenLine:
-    """The whole line from one walk.  Terms repeat a lot, so equal terms
-    share one object, and equal lengths one coefficient."""
-    label = _bits(label)
-    den, leaves = _walk(bush, label, intermediate)
-    coeffs, shared, terms = {}, {}, []
-    for _, length, ref in leaves:
-        term = shared.get((length, ref))
-        if term is None:
-            coeff = coeffs.get(length) or coeffs.setdefault(length, Fraction(length, den))
-            term = shared[length, ref] = Term(coeff, ref)
-        terms.append(term)
-    return BrokenLine(bush, label, intermediate, terms)
-
-
 def line_for_label(bush: Bush, label: Sequence[int]) -> BrokenLine:
     """The line of a bit-string label; the empty label is the straight
     segment from 0 to the root vector."""
-    return _build(bush, label, False)
+    label = tuple(int(b) for b in label)
+    if any(b not in (0, 1) for b in label):
+        raise InputError(f"label must consist of bits, got {label}")
+    _check_label(bush, len(label))
+    return BrokenLine(bush, label, False)
 
 
 def intermediate_for_label(bush: Bush, label: Sequence[int]) -> BrokenLine:
     """The intermediate line of ``label``: every term ``c * x[l][k]`` of its
     line replaced by the weighted midpoints of the block below k."""
-    return _build(bush, label, True)
+    line = line_for_label(bush, label)
+    if len(line.label) == bush.depth:  # the midpoint step needs one level more
+        _check_label(bush, bush.depth, True)  # raises
+    return BrokenLine(bush, line.label, True)
 
 
 def parse_label(text: str) -> tuple:
@@ -382,8 +381,8 @@ def sibling_deviation(
     ||x_parent - x_child||, which is >= (gap length) * epsilon / 2.  The
     full selection therefore totals at least epsilon / 2.
     """
-    label = _bits(label)
-    den, walk = _walk(bush, label, True)
+    mid = intermediate_for_label(bush, label)
+    den, walk = mid.window()
     terms = list(walk)
     n = len(terms)
     if selection is None:
@@ -413,4 +412,4 @@ def sibling_deviation(
         total += dev
         selected_length += coeff
     warning = "empty selection: deviation sum is vacuously 0" if not gaps else None
-    return DeviationReport(label, total, tuple(gaps), selected_length, warning)
+    return DeviationReport(mid.label, total, tuple(gaps), selected_length, warning)
