@@ -20,7 +20,6 @@ from .errors import (
     BudgetError,
     BushgeoError,
     DimensionMismatch,
-    BushIndexError,
     InputError,
     NumericalError,
     PastingError,

@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import compress
 from typing import NamedTuple, Union
 
-from .errors import BudgetError, DimensionMismatch, BushIndexError, InputError, StructuralError
+from .errors import BudgetError, DimensionMismatch, InputError, StructuralError
 from .rationals import Scalar, Vec, vadd
 from .spaces import Functional, NormedSpace
 
@@ -109,34 +109,6 @@ class Bush:
     def depth(self) -> int:
         return len(self.levels) - 1
 
-    @property
-    def level_sizes(self) -> tuple:
-        return tuple(len(lev) for lev in self.levels)
-
-    @property
-    def root(self) -> Vec:
-        return self.levels[0][0]
-
-    def vector(self, n: int, j: int) -> Vec:
-        try:
-            return self.levels[n][j]
-        except IndexError:
-            raise BushIndexError(f"no bush vector at level {n}, index {j}") from None
-
-    def children(self, parent_level: int, k: int) -> tuple:
-        try:
-            return self.partitions[parent_level][k]
-        except IndexError:
-            raise BushIndexError(
-                f"no block below parent {k} at level {parent_level}"
-            ) from None
-
-    def weight(self, level: int, j: int) -> Fraction:
-        try:
-            return self.weights[level - 1][j]
-        except IndexError:
-            raise BushIndexError(f"no weight at level {level}, index {j}") from None
-
     @cached_property
     def _index(self) -> "BushIndex":
         """Compiled view of this bush, built on first use and freed with it."""
@@ -202,7 +174,7 @@ class BushIndex:
         if space.kind == "wl1":
             den = math.lcm(*(w.denominator for w in space.weights))
             self.norm_weights = [w.numerator * (den // w.denominator) for w in space.weights]
-            self.norm_denominator = den * scale
+            self.norm_denominator = den
         self.midpoint_refs = tuple(
             tuple(MidpointRef(l + 1, k, j) for j, k in enumerate(owner))
             for l, owner in enumerate(self.parents)
@@ -217,22 +189,25 @@ class BushIndex:
                 # both ends are even multiples of 1/scale, so halving is exact
                 self.supports[ref] = (ii, tuple(both[i] // 2 for i in ii))
                 diff = _combine((1, parent), (-1, child))
-                self.pair_distances[ref] = self.norm(diff.keys(), diff.values())
+                self.pair_distances[ref] = self.norm(diff.keys(), diff.values(), scale)
         self.weight_scale = den = math.lcm(*(w.denominator for lev in bush.weights for w in lev))
         self.int_weights = [
             [w.numerator * (den // w.denominator) for w in lev] for lev in bush.weights
         ]
         self.normalized = None  # set by lines.ensure_normalized
 
-    def norm(self, ii, vv) -> Scalar:
-        """Norm of the vector with scaled coordinates vv at positions ii
-        (same value and type as ``NormedSpace.norm`` on the dense vector)."""
+    def norm(self, ii, vv, den: int) -> Scalar:
+        """Norm of the vector with coordinates ``v / den`` (integers v in vv)
+        at positions ii: same value and type as ``NormedSpace.norm`` on the
+        dense vector.  Bush vectors have ``den = scale``; the distance of
+        two exact points is the norm of their `lines._difference`."""
         if self.kind == "wl1":
             w = self.norm_weights
-            return Fraction(sum(w[i] * abs(v) for i, v in zip(ii, vv)), self.norm_denominator)
+            total = sum(w[i] * abs(v) for i, v in zip(ii, vv))
+            return Fraction(total, self.norm_denominator * den)
         if self.kind == "linf":
-            return Fraction(max(map(abs, vv), default=0), self.scale)
-        return math.sqrt(float(Fraction(sum(v * v for v in vv), self.scale ** 2)))
+            return Fraction(max(map(abs, vv), default=0), den)
+        return math.sqrt(float(Fraction(sum(v * v for v in vv), den * den)))
 
 
 @dataclass
@@ -370,7 +345,7 @@ def validate_bush(bush: Bush, tol: Scalar = 0, normalized: bool = True) -> BushV
         f"||x_child - x_parent|| < epsilon = {eps} at {bad_sep[:5]}" if bad_sep else "",
     )
 
-    norms = [[index.norm(*supports[ref]) for ref in refs] for refs in vrefs]
+    norms = [[index.norm(*supports[ref], index.scale) for ref in refs] for refs in vrefs]
     max_norm = max(x for row in norms for x in row)
     report.add("vectors_bounded", True, f"max norm {float(max_norm)}")
 

@@ -113,7 +113,10 @@ def cmd_deviation_report(args) -> int:
     label = parse_label(args.label)
     selection = None
     if args.selection is not None:
-        selection = [int(i) for i in args.selection.split(",") if i.strip() != ""]
+        try:
+            selection = [int(i) for i in args.selection.split(",") if i.strip() != ""]
+        except ValueError as exc:
+            raise InputError(f"--selection must be comma-separated gap indices: {exc}") from exc
     report = sibling_deviation(bush, label, selection)
     doc = report.as_dict()
     doc["epsilon_half"] = format_rational(bush.epsilon / 2)
@@ -147,10 +150,8 @@ def cmd_witness_validate(args) -> int:
     bush = _load_bush(args)
     geo, ts = formats.challenge_from_dict(bush, formats.load_json(args.challenge))
     response = formats.load_json(args.response)
-    g_tilde = formats.geodesic_from_dict(bush, response["geodesic"])
-    witness = formats.witness_from_dict(response["witness"])
-    if response.get("challenge_geodesic"):
-        geo = formats.geodesic_from_dict(bush, response["challenge_geodesic"])
+    g_tilde, witness, challenge = formats.response_from_dict(bush, response)
+    geo = challenge or geo
     alpha = parse_rational(args.alpha) if args.alpha else bush.epsilon / 4
     report = validate_witness(geo, g_tilde, ts, witness, alpha, tol=args.tolerance)
     doc = report.as_dict()

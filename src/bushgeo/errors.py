@@ -30,10 +30,6 @@ class PastingError(InputError):
     """Pieces cannot be pasted into a geodesic at the given breakpoints."""
 
 
-class BushIndexError(InputError):
-    """A (level, index) reference points outside the bush."""
-
-
 class BudgetError(BushgeoError):
     """A depth or combinatorial budget was exhausted."""
 

@@ -10,6 +10,11 @@ accepts exactly the checkable sufficient condition (each breakpoint is a
 vertex arclength of both adjacent rendered lines, with equal points).
 Evaluation, pasting and coverings descend the lines' trees; witness gaps,
 gap-switch pastings and random junctions read windows.  None builds a line.
+Every exact check (pasting agreement, the witness's distances, the oracle's
+pair table) takes points from `lines._point` as integer coordinates over one
+denominator and subtracts them by cross-multiplying (`lines._difference`);
+a distance is `BushIndex.norm` of that difference (`_distance`), equal in
+value and type to ``NormedSpace.dist`` on the ``Fraction`` points.
 
 ``challenge_respond`` plays the thickness game: given a pasted geodesic g
 and challenge arclengths t_i, it covers the t_i by vertex-aligned
@@ -31,8 +36,8 @@ from typing import Optional, Sequence
 
 from .bushes import Bush, depth_budget, lambda_max
 from .errors import BudgetError, InputError, PastingError
-from .lines import (_check_label, _descend, _on_vertex, _point, format_label,
-                    intermediate_for_label, line_for_label)
+from .lines import (_check_label, _descend, _difference, _fractions, _on_vertex, _point,
+                    format_label, intermediate_for_label, line_for_label)
 from .rationals import Vec
 
 ZERO = Fraction(0)
@@ -109,7 +114,7 @@ def branch_eval(bush: Bush, spec: BranchSpec, s) -> BranchValue:
             required=spec.depth,
         )
     _check_label(bush, spec.depth)
-    value = _point(bush, _descend(bush, spec.extended_label(), s), s)
+    value = _fractions(_point(bush, _descend(bush, spec.extended_label(), s), s))
     return BranchValue(value, lambda_max(bush) ** spec.depth)
 
 
@@ -131,14 +136,17 @@ class PastedGeodesic:
 
     def eval_batch(self, points: Sequence) -> list:
         """Exact points at many arclengths, one tree descent each."""
+        return list(map(_fractions, self._points(points)))
+
+    def _points(self, points: Sequence):
+        """`eval_batch` as ``(acc, total)`` integer points (`lines._point`),
+        yielded one at a time so that a caller pairing two geodesics holds
+        two dense points, not two lists of them."""
         labels = [p.extended_label() for p in self.pieces]
         bush = self.bush
         _check_label(bush, max(p.depth for p in self.pieces))  # refuses what any piece would
-        return [_point(bush, _descend(bush, labels[self.piece_index(s)], s), s)
-                for s in map(Fraction, points)]
-
-    def eval_at(self, s) -> Vec:
-        return self.eval_batch([s])[0]
+        for s in map(Fraction, points):
+            yield _point(bush, _descend(bush, labels[self.piece_index(s)], s), s)
 
     def deepened(self, depth: int) -> "PastedGeodesic":
         return PastedGeodesic(
@@ -185,7 +193,7 @@ def paste(bush: Bush, breakpoints: Sequence, pieces: Sequence[BranchSpec]) -> Pa
                 )
         junctions.append((h, *paths))
     for h, left, right in junctions:
-        if _point(bush, left, h) != _point(bush, right, h):
+        if any(_difference(_point(bush, left, h), _point(bush, right, h))[0]):
             raise PastingError(f"pieces disagree at breakpoint {h}")
     return PastedGeodesic(bush, breakpoints, pieces)
 
@@ -418,6 +426,13 @@ def challenge_respond(
     return ChallengeResponse(g_tilde, witness, challenge, deepened)
 
 
+def _distance(index, difference: tuple):
+    """Norm of a `lines._difference` (same value and type as the
+    ``NormedSpace.dist`` of the two points as ``Fraction`` tuples)."""
+    d, den = difference
+    return index.norm(range(len(d)), d, den)
+
+
 @dataclass
 class WitnessReport:
     checks: list = field(default_factory=list)
@@ -486,19 +501,20 @@ def validate_witness(
         "" if ok_order else f"|s| = {len(s)}, |q| = {len(q)}; sequences must interleave",
     )
 
-    g_q = g.eval_batch(q)
-    gt_q = g_tilde.eval_batch(q)
-    space = g.bush.space
-    worst_q = max((space.dist(u, v) for u, v in zip(g_q, gt_q)), default=ZERO)
+    index = g.bush._index
+
+    def distances(points):
+        pairs = zip(g._points(points), g_tilde._points(points))
+        return [_distance(index, _difference(u, v)) for u, v in pairs]
+
+    worst_q = max(distances(q), default=ZERO)
     report.add(
         "common_at_q",
         worst_q <= tol,
         f"max ||g(q_i) - g~(q_i)|| = {float(worst_q)}",
     )
 
-    g_s = g.eval_batch(s)
-    gt_s = g_tilde.eval_batch(s)
-    total = sum((Fraction(space.dist(u, v)) for u, v in zip(g_s, gt_s)), ZERO)
+    total = sum(map(Fraction, distances(s)), ZERO)
     report.achieved_deviation = total
     report.add(
         "deviation_sum",
@@ -506,9 +522,7 @@ def validate_witness(
         f"sum = {float(total)}, alpha = {float(alpha)}",
     )
 
-    g_t = g.eval_batch(ts)
-    gt_t = g_tilde.eval_batch(ts)
-    worst_t = max((space.dist(u, v) for u, v in zip(g_t, gt_t)), default=ZERO)
+    worst_t = max(distances(ts), default=ZERO)
     report.add(
         "images_agree_at_challenge_points",
         worst_t <= tol,
@@ -565,34 +579,25 @@ def brute_force_alpha(
     grid = sorted(set(Fraction(x) for x in grid))
     if not grid or grid[0] < 0 or grid[-1] > 1:
         raise InputError("grid must be a nonempty subset of [0, 1]")
-    space = bush.space
+    index = bush._index
     K = len(grid)
 
-    values = [geo.eval_batch(grid) for geo in family]
+    values = [list(geo._points(grid)) for geo in family]
     n = len(family)
-    dist = [[None] * n for _ in range(n)]
     commons = [[None] * n for _ in range(n)]
     dev = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            row = [Fraction(space.dist(u, v)) for u, v in zip(values[i], values[j])]
-            dist[i][j] = dist[j][i] = row
-            com = frozenset(k for k, d in enumerate(row) if d == 0)
+            diffs = [_difference(u, v) for u, v in zip(values[i], values[j])]
+            row = [Fraction(_distance(index, diff)) for diff in diffs]
+            com = frozenset(k for k, (d, _) in enumerate(diffs) if not any(d))
             commons[i][j] = commons[j][i] = com
             # optimal witness: q at every common point, one max-deviation
             # s inside each closed slot between consecutive q's
-            qs = sorted(com)
-            slots = []
-            prev = 0
-            for qk in qs:
-                slots.append((prev, qk))
-                prev = qk
-            slots.append((prev, K - 1))
-            total = ZERO
-            for a, b in slots:
-                if a <= b:
-                    total += max(row[a : b + 1])
-            dev[i][j] = dev[j][i] = total
+            ends = [0, *sorted(com), K - 1]
+            dev[i][j] = dev[j][i] = sum(
+                (max(row[a : b + 1]) for a, b in zip(ends, ends[1:])), ZERO
+            )
 
     bound = None
     worst = None

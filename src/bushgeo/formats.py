@@ -22,6 +22,16 @@ from .spaces import Functional, NormedSpace
 
 _DECIMAL_CTX = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_EVEN)
 
+# what reading a field of a malformed document raises: a missing key, or a
+# value of the wrong type or form (a list where a number is due, "x" as an int)
+_MALFORMED = (KeyError, TypeError, ValueError)
+
+
+def _malformed(what: str, exc: Exception) -> InputError:
+    if isinstance(exc, KeyError):
+        return InputError(f"{what} document is missing field {exc}")
+    return InputError(f"malformed {what} document: {exc}")
+
 
 def format_decimal(value) -> str:
     frac = Fraction(value)
@@ -50,9 +60,9 @@ def space_from_dict(doc: dict) -> NormedSpace:
     try:
         dimension = int(doc["dimension"])
         kind = doc["norm"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad space descriptor: {exc}") from exc
-    weights = parse_vector(doc["weights"]) if "weights" in doc and doc["weights"] else None
+        weights = parse_vector(doc["weights"]) if "weights" in doc and doc["weights"] else None
+    except _MALFORMED as exc:
+        raise _malformed("space", exc) from exc
     return NormedSpace(dimension, kind, weights)
 
 
@@ -86,8 +96,8 @@ def bush_from_dict(doc: dict) -> Bush:
             epsilon=parse_rational(doc["epsilon"]),
             functional=Functional(parse_vector(doc["functional"])),
         )
-    except KeyError as exc:
-        raise InputError(f"bush document is missing field {exc}") from exc
+    except _MALFORMED as exc:
+        raise _malformed("bush", exc) from exc
 
 
 # ------------------------------------------------------------- geodesics
@@ -100,8 +110,8 @@ def branch_spec_to_dict(spec: BranchSpec) -> dict:
 def branch_spec_from_dict(doc: dict) -> BranchSpec:
     try:
         return BranchSpec(tuple(int(b) for b in doc["bits"]), int(doc["depth"]))
-    except KeyError as exc:
-        raise InputError(f"branch descriptor is missing field {exc}") from exc
+    except _MALFORMED as exc:
+        raise _malformed("branch", exc) from exc
 
 
 def geodesic_to_dict(geo: PastedGeodesic) -> dict:
@@ -115,8 +125,8 @@ def geodesic_from_dict(bush: Bush, doc: dict) -> PastedGeodesic:
     try:
         breakpoints = tuple(parse_rational(h) for h in doc["breakpoints"])
         pieces = tuple(branch_spec_from_dict(p) for p in doc["pieces"])
-    except KeyError as exc:
-        raise InputError(f"geodesic document is missing field {exc}") from exc
+    except _MALFORMED as exc:
+        raise _malformed("geodesic", exc) from exc
     return paste(bush, breakpoints, pieces)
 
 
@@ -129,11 +139,11 @@ def challenge_to_dict(geo: PastedGeodesic, t_points: Sequence) -> dict:
 
 def challenge_from_dict(bush: Bush, doc: dict):
     try:
-        geo = geodesic_from_dict(bush, doc["geodesic"])
+        geo_doc = doc["geodesic"]
         ts = [parse_rational(t) for t in doc.get("t_points", [])]
-    except KeyError as exc:
-        raise InputError(f"challenge document is missing field {exc}") from exc
-    return geo, ts
+    except _MALFORMED as exc:
+        raise _malformed("challenge", exc) from exc
+    return geodesic_from_dict(bush, geo_doc), ts
 
 
 def witness_to_dict(witness: ThicknessWitness) -> dict:
@@ -187,8 +197,8 @@ def witness_from_dict(doc: dict) -> ThicknessWitness:
                 for p in doc.get("pieces", [])
             ),
         )
-    except KeyError as exc:
-        raise InputError(f"witness document is missing field {exc}") from exc
+    except _MALFORMED as exc:
+        raise _malformed("witness", exc) from exc
 
 
 def response_to_dict(geo: PastedGeodesic, witness: ThicknessWitness, deepened: bool = False,
@@ -203,11 +213,24 @@ def response_to_dict(geo: PastedGeodesic, witness: ThicknessWitness, deepened: b
     return doc
 
 
+def response_from_dict(bush: Bush, doc: dict):
+    """The geodesic, witness and challenge geodesic (None when absent) of a
+    `response_to_dict` document."""
+    try:
+        geo_doc, witness_doc = doc["geodesic"], doc["witness"]
+        challenge_doc = doc.get("challenge_geodesic")
+    except _MALFORMED as exc:
+        raise _malformed("response", exc) from exc
+    geo, witness = geodesic_from_dict(bush, geo_doc), witness_from_dict(witness_doc)
+    return geo, witness, geodesic_from_dict(bush, challenge_doc) if challenge_doc else None
+
+
 def family_from_dict(bush: Bush, doc: dict) -> list:
     try:
-        return [geodesic_from_dict(bush, g) for g in doc["geodesics"]]
-    except KeyError as exc:
-        raise InputError(f"family document is missing field {exc}") from exc
+        geo_docs = list(doc["geodesics"])
+    except _MALFORMED as exc:
+        raise _malformed("family", exc) from exc
+    return [geodesic_from_dict(bush, g) for g in geo_docs]
 
 
 def family_to_dict(family: Sequence[PastedGeodesic]) -> dict:
@@ -255,6 +278,8 @@ def line_table(line: BrokenLine, mode: str = "rational"):
 
 def geodesic_table(geo: PastedGeodesic, samples: int = 64, mode: str = "rational") -> str:
     """Sampled table of a pasted geodesic (breakpoints always included)."""
+    if samples < 1:
+        raise InputError(f"samples must be >= 1, got {samples}")
     points = sorted(
         set(Fraction(k, samples) for k in range(samples + 1)) | set(geo.breakpoints)
     )

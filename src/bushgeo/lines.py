@@ -13,10 +13,13 @@ arclength on [0, 1].  Lines are labelled by bit strings:
 
 Each step (`_run`) replaces a term by a run of terms with the same sum, so
 a line is a substitution tree with two readers, both in integers: one
-descent (`_descend`, `_point`) finds the point at an arclength, and one
-window walk (`_walk`) lists the terms meeting an arclength window, in
-order.  `line_for_label` and `intermediate_for_label` return checked, lazy
-`BrokenLine` views over the walk; nothing is memoised.
+descent (`_descend`, `_point`) finds the point at an arclength as integer
+coordinates over one denominator, and one window walk (`_walk`) lists the
+terms meeting an arclength window, in order.  Exact checks subtract such
+points by cross-multiplying (`_difference`); only `eval_batch` converts
+them to ``Fraction`` tuples (`_fractions`).  `line_for_label` and
+`intermediate_for_label` return checked, lazy `BrokenLine` views over the
+walk; nothing is memoised.
 
 Both children of a label pass through every vertex of the intermediate
 line; between two consecutive intermediate vertices they acquire new
@@ -33,7 +36,7 @@ from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 from .bushes import Bush, BushVectorRef, GeneratorRef, MidpointRef, depth_budget, validate_bush
-from .errors import BudgetError, BushIndexError, InputError
+from .errors import BudgetError, InputError
 from .rationals import Vec
 
 HALF = Fraction(1, 2)
@@ -44,21 +47,6 @@ ONE = Fraction(1)
 class Term(NamedTuple):
     coeff: Fraction
     ref: GeneratorRef
-
-
-def generator_vector(bush: Bush, ref: GeneratorRef) -> Vec:
-    """Dense coordinates of a bush vector or of a parent-child midpoint
-    (BushIndexError unless the midpoint's child is in its parent's block)."""
-    if isinstance(ref, BushVectorRef):
-        return bush.vector(ref.level, ref.index)
-    if ref not in bush._index.supports:  # holds exactly the in-block midpoints
-        raise BushIndexError(
-            f"index {ref.child} is not in the block below parent {ref.parent} "
-            f"at level {ref.level - 1}"
-        )
-    xp = bush.vector(ref.level - 1, ref.parent)
-    xc = bush.vector(ref.level, ref.child)
-    return tuple(HALF * (a + b) for a, b in zip(xp, xc))
 
 
 class BrokenLine:
@@ -116,11 +104,8 @@ class BrokenLine:
         """Exact points at many arclengths, one tree descent each."""
         bush, label, mid = self.bush, self.label, self.intermediate
         _check_label(bush, len(label), mid)
-        return [_point(bush, _descend(bush, label, s, mid), s) for s in map(Fraction, points)]
-
-    def eval_at(self, s) -> Vec:
-        """Point at arclength s in [0, 1] (exact for rational s)."""
-        return self.eval_batch([s])[0]
+        return [_fractions(_point(bush, _descend(bush, label, s, mid), s))
+                for s in map(Fraction, points)]
 
     def vertices(self):
         """Yield every (arclength, point) pair in order, one row at a time
@@ -228,8 +213,9 @@ def _descend(bush: Bush, label: tuple, s: Fraction, intermediate: bool = False) 
     return path
 
 
-def _point(bush: Bush, path: list, s: Fraction) -> Vec:
-    """The point at arclength ``s`` from its `_descend` path, exactly."""
+def _point(bush: Bush, path: list, s: Fraction) -> tuple:
+    """The point at arclength ``s`` from its `_descend` path, exactly, as
+    ``(acc, total)``: integer coordinates ``acc`` over one denominator."""
     index = bush._index
     start, _, den, ref, _ = path[-1]
     sn, sd = s.numerator, s.denominator
@@ -242,9 +228,21 @@ def _point(bush: Bush, path: list, s: Fraction) -> Vec:
         ii, vv = index.supports[r]
         for i, v in zip(ii, vv):
             acc[i] += c * v
-    total = den * sd * index.scale
+    return acc, den * sd * index.scale
+
+
+def _fractions(point: tuple) -> Vec:
+    """Dense ``Fraction`` coordinates of an ``(acc, total)`` point."""
+    acc, total = point
     shared = {a: Fraction(a, total) for a in set(acc)}  # coordinates repeat often
     return tuple(map(shared.__getitem__, acc))
+
+
+def _difference(p: tuple, q: tuple) -> tuple:
+    """``p - q`` of two ``(acc, total)`` points, cross-multiplied: integer
+    coordinates over the product of their denominators."""
+    (a, ta), (b, tb) = p, q
+    return [x * tb - y * ta for x, y in zip(a, b)], ta * tb
 
 
 def _on_vertex(entry: tuple, s: Fraction) -> bool:

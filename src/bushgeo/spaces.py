@@ -85,7 +85,3 @@ class Functional:
         if len(v) != len(self.coefficients):
             raise DimensionMismatch(len(self.coefficients), len(v))
         return vdot(self.coefficients, v)
-
-    def is_norming_for(self, space: NormedSpace, tol: float = 1e-9) -> bool:
-        """True when the operator norm equals 1 within ``tol``."""
-        return abs(Fraction(space.dual_norm(self.coefficients)) - 1) <= tol

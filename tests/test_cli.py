@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bushgeo import branch_geodesic, dyadic_bush
+from bushgeo import branch_geodesic, challenge_respond, dyadic_bush
 from bushgeo.cli import main
 from bushgeo.formats import (
     bush_to_dict,
@@ -11,6 +11,7 @@ from bushgeo.formats import (
     dump_json,
     family_to_dict,
     geodesic_to_dict,
+    response_to_dict,
 )
 
 F = Fraction
@@ -229,6 +230,46 @@ def test_input_error_exit_code(capsys):
     code = main(["bush-validate", "/nonexistent/bush.json"])
     assert code == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, mutate",
+    [
+        pytest.param(["witness-validate", "{bush}", "--challenge", "{challenge}",
+                      "--response", "{response}"], lambda d: d["response"].pop("geodesic"),
+                     id="response-without-geodesic"),
+        pytest.param(["challenge", "{bush}", "--challenge", "{challenge}"],
+                     lambda d: d["challenge"]["geodesic"]["pieces"][0].update(depth="x"),
+                     id="piece-depth-x"),
+        pytest.param(["bush-validate", "{bush}"],
+                     lambda d: d["bush"]["partitions"][0][0].insert(0, "a"),
+                     id="partitions-hold-a"),
+        pytest.param(["bush-validate", "{bush}"], lambda d: d["bush"].update(levels=5),
+                     id="levels-is-5"),
+        pytest.param(["deviation-report", "{bush}", "--label", "0", "--selection", "a"],
+                     None, id="selection-a"),
+        pytest.param(["export", "{bush}", "--geodesic", "{geodesic}", "--samples", "0",
+                      "--out", "{out}"], None, id="samples-0"),
+    ],
+)
+def test_malformed_input_is_an_input_error(tmp_path, capsys, argv, mutate):
+    bush = dyadic_bush(3)
+    geo = branch_geodesic(bush, (0, 1))
+    resp = challenge_respond(bush, geo, [F(1, 3)])
+    docs = {
+        "bush": bush_to_dict(bush),
+        "challenge": challenge_to_dict(geo, [F(1, 3)]),
+        "geodesic": geodesic_to_dict(geo),
+        "response": response_to_dict(resp.geodesic, resp.witness, resp.deepened, resp.challenge),
+    }
+    if mutate is not None:
+        mutate(docs)
+    files = {"out": str(tmp_path / "out.tsv")}
+    for name, doc in docs.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        dump_json(doc, files[name])
+    assert main([arg.format(**files) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
 
 
 def test_budget_error_exit_code(bush_file, capsys):

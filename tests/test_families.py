@@ -49,7 +49,7 @@ def test_branch_eval_shared_prefix_vertex(dyadic):
     a = branch_eval(bush, BranchSpec((0, 0), 2), F(1, 4)).value
     b = branch_eval(bush, BranchSpec((0, 1), 2), F(1, 4)).value
     # 1/4 is a vertex arclength of the shared prefix line (0)
-    assert a == b == line_for_label(bush, (0,)).eval_at(F(1, 4))
+    assert a == b == line_for_label(bush, (0,)).eval_batch([F(1, 4)])[0]
 
 
 def test_branch_eval_depth_refinement_bound(dyadic):
@@ -91,7 +91,7 @@ def test_paste_single_piece(dyadic):
     bush = dyadic(2)
     geo = branch_geodesic(bush, (0,))
     assert geo.n_pieces == 1
-    assert geo.eval_at(F(1, 4)) == line_for_label(bush, (0, 0)).eval_at(F(1, 4))
+    assert geo.eval_batch([F(1, 4)])[0] == line_for_label(bush, (0, 0)).eval_batch([F(1, 4)])[0]
 
 
 def test_paste_at_shared_vertex(dyadic):
@@ -102,7 +102,7 @@ def test_paste_at_shared_vertex(dyadic):
         (make_branch(bush, (0,)), make_branch(bush, (1,))),
     )
     # the two depth-1 children share the intermediate-line vertex at 1/2
-    assert geo.eval_at(F(1, 2)) == line_for_label(bush, (0,)).eval_at(F(1, 2))
+    assert geo.eval_batch([F(1, 2)])[0] == line_for_label(bush, (0,)).eval_batch([F(1, 2)])[0]
 
 
 def test_paste_rejects_non_vertex_breakpoint(dyadic):
@@ -187,7 +187,7 @@ def test_gap_switch_pasting(dyadic):
     all_zero = gap_switch_pasting(bush, (0,), (0,) * 8)
     line = line_for_label(bush, (0, 0))
     for s in (F(1, 16), F(5, 16), F(11, 16)):
-        assert all_zero.eval_at(s) == line.eval_at(s)
+        assert all_zero.eval_batch([s])[0] == line.eval_batch([s])[0]
     mixed = gap_switch_pasting(bush, (0,), (0, 1, 0, 1, 0, 1, 0, 1))
     assert mixed.n_pieces == 8
     with pytest.raises(InputError):

@@ -39,7 +39,7 @@ def test_root_line(dyadic):
     assert line.terms == (Term(F(1), BushVectorRef(0, 0)),)
     assert list(line.vertices()) == [(F(0), (F(0), F(0))), (F(1), (F(1), F(1)))]
     assert sum(t.coeff for t in line.terms) == 1
-    assert line.eval_at(F(1, 2)) == (F(1, 2), F(1, 2))
+    assert line.eval_batch([F(1, 2)])[0] == (F(1, 2), F(1, 2))
 
 
 def test_root_line_rejects_unnormalized_bush(dyadic):
@@ -96,15 +96,15 @@ def test_eval_examples(dyadic):
     bush = dyadic(1)
     zero = line_for_label(bush, (0,))
     one = line_for_label(bush, (1,))
-    assert zero.eval_at(F(1, 4)) == (F(1, 4), F(1, 4))
-    assert zero.eval_at(0) == (0, 0)
+    assert zero.eval_batch([F(1, 4)])[0] == (F(1, 4), F(1, 4))
+    assert zero.eval_batch([0])[0] == (0, 0)
     # both children pass through the intermediate line's vertex at 1/2
-    assert zero.eval_at(F(1, 2)) == one.eval_at(F(1, 2)) == (F(3, 4), F(1, 4))
+    assert zero.eval_batch([F(1, 2)])[0] == one.eval_batch([F(1, 2)])[0] == (F(3, 4), F(1, 4))
 
 
 def test_eval_out_of_range(dyadic):
     with pytest.raises(InputError):
-        line_for_label(dyadic(1), (0,)).eval_at(F(3, 2))
+        line_for_label(dyadic(1), (0,)).eval_batch([F(3, 2)])
 
 
 def test_exact_conservation_all_labels(dyadic):

@@ -119,12 +119,6 @@ def test_functional_bound_by_dual_norm(kind):
         assert abs(float(f(v))) <= float(dual) * float(space.norm(v)) + 1e-9
 
 
-def test_is_norming_for():
-    space = NormedSpace(2, "wl1", (F(1, 2), F(1, 2)))
-    assert Functional((F(1, 2), F(1, 2))).is_norming_for(space)
-    assert not Functional((F(1, 4), F(1, 4))).is_norming_for(space)
-
-
 def test_l2_dual_is_l2():
     space = NormedSpace(2, "l2")
     assert space.dual_norm((3, 4)) == pytest.approx(5.0)
