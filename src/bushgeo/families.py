@@ -10,11 +10,12 @@ accepts exactly the checkable sufficient condition (each breakpoint is a
 vertex arclength of both adjacent rendered lines, with equal points).
 Evaluation, pasting and coverings descend the lines' trees; witness gaps,
 gap-switch pastings and random junctions read windows.  None builds a line.
-Every exact check (pasting agreement, the witness's distances, the oracle's
-pair table) takes points from `lines._point` as integer coordinates over one
-denominator and subtracts them by cross-multiplying (`lines._difference`);
-a distance is `BushIndex.norm` of that difference (`_distance`), equal in
-value and type to ``NormedSpace.dist`` on the ``Fraction`` points.
+Every exact check takes points from `lines._point` as integer coordinates
+over one denominator.  Pasting agreement and the witness's distances subtract
+them by cross-multiplying (`lines._difference`); a distance is
+`BushIndex.norm` of that difference (`_distance`), equal in value and type to
+``NormedSpace.dist`` on the ``Fraction`` points.  The oracle puts all its
+points over one denominator and works on integer numerators throughout.
 
 ``challenge_respond`` plays the thickness game: given a pasted geodesic g
 and challenge arclengths t_i, it covers the t_i by vertex-aligned
@@ -28,6 +29,7 @@ exhaustive oracle for tiny families on a fixed arclength grid.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -562,7 +564,12 @@ def brute_force_alpha(
     searches the family for the best g-tilde passing through g at S and
     scores the optimal grid witness (q = all common grid points, one
     maximizing s per slot); returns the min over challenges of the max
-    over candidates.  Deviations at grid points are exact rationals.
+    over candidates.  Works in integers: the points at each grid index are
+    interned over one denominator, so two members share a point when their
+    ids are equal, and every distance and deviation is an integer numerator
+    over one denominator.  A pair's common points form an int bitmask; per
+    g the candidates are tried by decreasing deviation, and the first whose
+    mask contains S is the best.  Only the result becomes a ``Fraction``.
     """
     family = list(family)
     if len(family) > MAX_FAMILY:
@@ -576,56 +583,91 @@ def brute_force_alpha(
         raise InputError(f"n_max must be >= 0, got {n_max}")
     if not family:
         raise InputError("family must be nonempty")
+    foreign = [i for i, geo in enumerate(family) if geo.bush is not bush]
+    if foreign:
+        raise InputError(f"family members {foreign[:5]} are geodesics of another bush")
     grid = sorted(set(Fraction(x) for x in grid))
     if not grid or grid[0] < 0 or grid[-1] > 1:
         raise InputError("grid must be a nonempty subset of [0, 1]")
     index = bush._index
     K = len(grid)
-
-    values = [list(geo._points(grid)) for geo in family]
     n = len(family)
-    commons = [[None] * n for _ in range(n)]
-    dev = [[ZERO] * n for _ in range(n)]
+
+    # ids[i][k]: member i's point at grid index k, interned per index
+    values = [list(geo._points(grid)) for geo in family]
+    total = math.lcm(*(t for row in values for _, t in row))
+    points = [{} for _ in grid]
+    ids = [
+        [seen.setdefault(tuple(a * (total // t) for a in acc), len(seen))
+         for seen, (acc, t) in zip(points, row)]
+        for row in values
+    ]
+    # distance numerators over one denominator den; an l2 bush is normalized
+    # only within the validation tolerance, and keeps its float distances
+    if index.kind == "wl1":
+        den = index.norm_denominator * total
+
+        def norm(d):
+            return sum(w * abs(x) for w, x in zip(index.norm_weights, d))
+    elif index.kind == "linf":
+        den = total
+
+        def norm(d):
+            return max(map(abs, d), default=0)
+    else:
+        den = 1
+
+        def norm(d):
+            return Fraction(index.norm(range(len(d)), d, total))
+    dist = []  # dist[k][a][b]: numerator of the distance of points a and b at index k
+    for seen in points:
+        pts = list(seen)
+        dist.append([[norm([x - y for x, y in zip(p, q)]) for q in pts] for p in pts])
+
+    # per pair: the common points as a bitmask, and the optimal witness: q at
+    # every common point, one max-deviation s inside each closed slot between
+    # consecutive q's
+    candidates = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            diffs = [_difference(u, v) for u, v in zip(values[i], values[j])]
-            row = [Fraction(_distance(index, diff)) for diff in diffs]
-            com = frozenset(k for k, (d, _) in enumerate(diffs) if not any(d))
-            commons[i][j] = commons[j][i] = com
-            # optimal witness: q at every common point, one max-deviation
-            # s inside each closed slot between consecutive q's
-            ends = [0, *sorted(com), K - 1]
-            dev[i][j] = dev[j][i] = sum(
-                (max(row[a : b + 1]) for a, b in zip(ends, ends[1:])), ZERO
-            )
+            row = [dk[a][b] for dk, a, b in zip(dist, ids[i], ids[j])]
+            common = [k for k, (a, b) in enumerate(zip(ids[i], ids[j])) if a == b]
+            ends = [0, *common, K - 1]
+            dev = sum(max(row[a : b + 1]) for a, b in zip(ends, ends[1:]))
+            if dev:  # a candidate of deviation 0 never beats the default best
+                mask = sum(1 << k for k in common)
+                candidates[i].append((dev, mask))
+                candidates[j].append((dev, mask))
 
+    challenges = [
+        (subset, sum(1 << k for k in subset))
+        for size in range(min(n_max, K) + 1)
+        for subset in itertools.combinations(range(K), size)
+    ]
     bound = None
     worst = None
-    n_challenges = 0
-    for gi in range(n):
-        for size in range(min(n_max, K) + 1):
-            for subset in itertools.combinations(range(K), size):
-                n_challenges += 1
-                sset = set(subset)
-                best = ZERO
-                for gj in range(n):
-                    if gj == gi:
-                        continue
-                    if sset <= commons[gi][gj] and dev[gi][gj] > best:
-                        best = dev[gi][gj]
-                if bound is None or best < bound:
-                    bound = best
-                    worst = {
-                        "geodesic_index": gi,
-                        "challenge_points": [str(grid[k]) for k in subset],
-                        "best_deviation": str(best),
-                    }
+    for gi, cands in enumerate(candidates):
+        kept = []  # by decreasing deviation; a mask inside a kept one never wins
+        for dev, mask in sorted(cands, key=lambda c: -c[0]):
+            if all(mask & m != mask for _, m in kept):
+                kept.append((dev, mask))
+        for subset, smask in challenges:
+            best = next((dev for dev, mask in kept if mask & smask == smask), 0)
+            if bound is None or best < bound:
+                bound = best
+                worst = (gi, subset)
+    gi, subset = worst
+    bound = Fraction(bound, den)
     return BruteForceReport(
-        alpha_bound=bound if bound is not None else ZERO,
+        alpha_bound=bound,
         n_geodesics=n,
-        n_challenges=n_challenges,
+        n_challenges=n * len(challenges),
         grid=tuple(grid),
-        worst_case=worst,
+        worst_case={
+            "geodesic_index": gi,
+            "challenge_points": [str(grid[k]) for k in subset],
+            "best_deviation": str(bound),
+        },
     )
 
 

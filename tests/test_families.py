@@ -438,6 +438,17 @@ def test_brute_force_budgets(dyadic):
         brute_force_alpha(bush, [g], 1, [F(2)])
 
 
+def test_brute_force_refuses_a_family_from_another_bush(dyadic):
+    bush = dyadic(2)
+    deeper = branch_geodesic(dyadic(3), (0, 1))
+    with pytest.raises(InputError, match=r"family members \[1\] are geodesics of another bush"):
+        brute_force_alpha(bush, [branch_geodesic(bush, (0,)), deeper], 1, [F(0), F(1, 2), F(1)])
+    # same dimension, weights and scale, but still not this bush
+    twin = branch_geodesic(dyadic_bush(2), (1,))
+    with pytest.raises(InputError, match="another bush"):
+        brute_force_alpha(bush, [twin], 1, [F(0), F(1)])
+
+
 def test_brute_force_consistent_with_exhaustive_deviation(dyadic):
     # with no challenge points and two members, the bound equals the optimal
     # witness deviation between them, which sibling pairs realize as 1/2
