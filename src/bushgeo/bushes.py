@@ -148,8 +148,8 @@ class BushIndex:
     (child j at level l + 1 with its parent) are the one ref object per
     generator that every line shares; ``int_weights[l][j]`` is child j's
     weight times ``weight_scale`` (the lcm of the weight denominators).
-    Also holds the parent map, the pair distances and the normalized flag;
-    lines are not memoised.
+    Also holds the parent map, the pair distances and the failing
+    normalized checks; lines are not memoised.
     """
 
     def __init__(self, bush: Bush):
@@ -171,6 +171,7 @@ class BushIndex:
             for ref, (ii, vec) in zip(refs, lev)
         }
         self.kind = space.kind
+        self.norm_denominator = 1  # wl1: lcm of the weight denominators
         if space.kind == "wl1":
             den = math.lcm(*(w.denominator for w in space.weights))
             self.norm_weights = [w.numerator * (den // w.denominator) for w in space.weights]
@@ -194,20 +195,25 @@ class BushIndex:
         self.int_weights = [
             [w.numerator * (den // w.denominator) for w in lev] for lev in bush.weights
         ]
-        self.normalized = None  # set by lines.ensure_normalized
+        self.failed_checks = None  # set by lines.ensure_normalized
+
+    def norm_numerator(self, ii, vv) -> int:
+        """``norm_denominator`` times the wl1 or linf norm of the integer
+        vector with entries vv at positions ii: an integer."""
+        if self.kind == "wl1":
+            w = self.norm_weights
+            return sum(w[i] * abs(v) for i, v in zip(ii, vv))
+        return max(map(abs, vv), default=0)
 
     def norm(self, ii, vv, den: int) -> Scalar:
         """Norm of the vector with coordinates ``v / den`` (integers v in vv)
-        at positions ii: same value and type as ``NormedSpace.norm`` on the
-        dense vector.  Bush vectors have ``den = scale``; the distance of
-        two exact points is the norm of their `lines._difference`."""
-        if self.kind == "wl1":
-            w = self.norm_weights
-            total = sum(w[i] * abs(v) for i, v in zip(ii, vv))
-            return Fraction(total, self.norm_denominator * den)
-        if self.kind == "linf":
-            return Fraction(max(map(abs, vv), default=0), den)
-        return math.sqrt(float(Fraction(sum(v * v for v in vv), den * den)))
+        at positions ii, with the value and type of ``NormedSpace.norm``:
+        `norm_numerator` over ``norm_denominator * den`` on wl1 and linf, a
+        float on l2.  Bush vectors have ``den = scale``; the distance of two
+        exact points is the norm of their `lines._difference`."""
+        if self.kind == "l2":
+            return math.sqrt(float(Fraction(sum(v * v for v in vv), den * den)))
+        return Fraction(self.norm_numerator(ii, vv), self.norm_denominator * den)
 
 
 @dataclass
@@ -267,8 +273,15 @@ def _parent_map(bush: Bush) -> list:
     return parents
 
 
+def _l2_outside(vv, den: int, lo, hi=None) -> bool:
+    """Whether ||vv / den||_2 < lo or > hi (>= 0; None: no bound), exactly."""
+    square, den2 = sum(v * v for v in vv), den * den
+    return (lo > 0 and square < lo * lo * den2) or (hi is not None and square > hi * hi * den2)
+
+
 def validate_bush(bush: Bush, tol: Scalar = 0, normalized: bool = True) -> BushValidation:
-    """Check every bush axiom; convexity exactly, norm inequalities within tol.
+    """Check every bush axiom exactly; norm inequalities within the rational
+    tol (on l2 by comparing squares).
 
     ``normalized=True`` additionally requires unit norms, functional value
     one on every vector, and the derived weight bound
@@ -333,11 +346,15 @@ def validate_bush(bush: Bush, tol: Scalar = 0, normalized: bool = True) -> BushV
                f"exact convexity fails at (parent level, k): {bad_convex[:5]}"
                if bad_convex else "")
 
+    l2 = index.kind == "l2"
     bad_sep = []
     for l, refs in enumerate(index.midpoint_refs):
         for j, ref in enumerate(refs):
             d = index.pair_distances[ref]
-            if d < eps - tol:
+            if l2:
+                parent, child = supports[vrefs[l][ref.parent]], supports[vrefs[l + 1][j]]
+                diff = _combine((1, parent), (-1, child)).values()
+            if _l2_outside(diff, index.scale, eps - tol) if l2 else d < eps - tol:
                 bad_sep.append((l + 1, j, float(d)))
     report.add(
         "children_separated_from_parent",
@@ -366,7 +383,8 @@ def validate_bush(bush: Bush, tol: Scalar = 0, normalized: bool = True) -> BushV
             (n, j, float(x))
             for n, row in enumerate(norms)
             for j, x in enumerate(row)
-            if abs(Fraction(x) - 1) > tol
+            if (_l2_outside(supports[vrefs[n][j]][1], index.scale, 1 - tol, 1 + tol) if l2
+                else abs(Fraction(x) - 1) > tol)
         ]
         report.add("vectors_have_unit_norm", not off_unit,
                    f"non-unit vectors at {off_unit[:5]}" if off_unit else "")
@@ -385,10 +403,11 @@ def validate_bush(bush: Bush, tol: Scalar = 0, normalized: bool = True) -> BushV
         report.add("functional_is_one_on_vectors", not off_func,
                    f"functional != 1 at {off_func[:5]}" if off_func else "")
 
-        dual = bush.space.dual_norm(bush.functional.coefficients)
+        dual = bush.space.dual_norm(coefficients)
         report.add(
             "functional_has_unit_operator_norm",
-            abs(Fraction(dual) - 1) <= tol,
+            not _l2_outside(coefficients, 1, 1 - tol, 1 + tol) if l2
+            else abs(Fraction(dual) - 1) <= tol,
             f"dual norm {float(dual)}",
         )
     return report

@@ -153,7 +153,7 @@ def cmd_witness_validate(args) -> int:
     g_tilde, witness, challenge = formats.response_from_dict(bush, response)
     geo = challenge or geo
     alpha = parse_rational(args.alpha) if args.alpha else bush.epsilon / 4
-    report = validate_witness(geo, g_tilde, ts, witness, alpha, tol=args.tolerance)
+    report = validate_witness(geo, g_tilde, ts, witness, alpha)
     doc = report.as_dict()
     doc["alpha"] = format_rational(alpha)
     _emit(args, doc)
@@ -274,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--challenge", required=True, metavar="FILE")
     p.add_argument("--response", required=True, metavar="FILE")
     p.add_argument("--alpha", help="rational threshold (default epsilon/4)")
-    p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_witness_validate)
 

@@ -463,15 +463,15 @@ def validate_witness(
     t_points: Sequence,
     witness: ThicknessWitness,
     alpha,
-    tol: float = 1e-9,
 ) -> WitnessReport:
-    """Check the four thickness-witness conditions, each reported separately.
+    """Check the four thickness-witness conditions, each reported separately
+    and exactly.
 
     1. q contains every challenge arclength; 2. the interleaving
     0 <= s_1 <= q_1 <= s_2 <= ... <= q_m <= s_{m+1} <= 1;
-    3. g and g-tilde agree at every q_i (within tol); 4. the deviation sum
-    over the s_i is at least alpha (within tol).  Also checks that both
-    geodesics pass through the challenge points themselves.
+    3. g and g-tilde agree at every q_i (distance 0); 4. the deviation sum
+    over the s_i is at least alpha.  Also checks that both geodesics pass
+    through the challenge points themselves.
     """
     alpha = Fraction(alpha)
     if alpha <= 0:
@@ -510,26 +510,15 @@ def validate_witness(
         return [_distance(index, _difference(u, v)) for u, v in pairs]
 
     worst_q = max(distances(q), default=ZERO)
-    report.add(
-        "common_at_q",
-        worst_q <= tol,
-        f"max ||g(q_i) - g~(q_i)|| = {float(worst_q)}",
-    )
+    report.add("common_at_q", worst_q == 0, f"max ||g(q_i) - g~(q_i)|| = {float(worst_q)}")
 
     total = sum(map(Fraction, distances(s)), ZERO)
     report.achieved_deviation = total
-    report.add(
-        "deviation_sum",
-        total >= alpha - Fraction(tol),
-        f"sum = {float(total)}, alpha = {float(alpha)}",
-    )
+    report.add("deviation_sum", total >= alpha, f"sum = {float(total)}, alpha = {float(alpha)}")
 
     worst_t = max(distances(ts), default=ZERO)
-    report.add(
-        "images_agree_at_challenge_points",
-        worst_t <= tol,
-        f"max ||g(t_i) - g~(t_i)|| = {float(worst_t)}",
-    )
+    report.add("images_agree_at_challenge_points", worst_t == 0,
+               f"max ||g(t_i) - g~(t_i)|| = {float(worst_t)}")
     return report
 
 
@@ -566,10 +555,13 @@ def brute_force_alpha(
     maximizing s per slot); returns the min over challenges of the max
     over candidates.  Works in integers: the points at each grid index are
     interned over one denominator, so two members share a point when their
-    ids are equal, and every distance and deviation is an integer numerator
-    over one denominator.  A pair's common points form an int bitmask; per
-    g the candidates are tried by decreasing deviation, and the first whose
-    mask contains S is the best.  Only the result becomes a ``Fraction``.
+    ids are equal, and every distance (`BushIndex.norm_numerator`) and
+    deviation is an integer numerator over one denominator.  The members
+    refuse unnormalized bushes, so the norm is wl1 or linf (or l2 at depth
+    0, where all members coincide).  A pair's common points form an int
+    bitmask; per g the candidates are tried by decreasing deviation, and the
+    first whose mask contains S is the best.  Only the result becomes a
+    ``Fraction``.
     """
     family = list(family)
     if len(family) > MAX_FAMILY:
@@ -602,27 +594,14 @@ def brute_force_alpha(
          for seen, (acc, t) in zip(points, row)]
         for row in values
     ]
-    # distance numerators over one denominator den; an l2 bush is normalized
-    # only within the validation tolerance, and keeps its float distances
-    if index.kind == "wl1":
-        den = index.norm_denominator * total
-
-        def norm(d):
-            return sum(w * abs(x) for w, x in zip(index.norm_weights, d))
-    elif index.kind == "linf":
-        den = total
-
-        def norm(d):
-            return max(map(abs, d), default=0)
-    else:
-        den = 1
-
-        def norm(d):
-            return Fraction(index.norm(range(len(d)), d, total))
+    # distance numerators over one denominator (`BushIndex.norm_numerator`)
+    den = index.norm_denominator * total
+    positions = range(bush.space.dimension)
     dist = []  # dist[k][a][b]: numerator of the distance of points a and b at index k
     for seen in points:
         pts = list(seen)
-        dist.append([[norm([x - y for x, y in zip(p, q)]) for q in pts] for p in pts])
+        dist.append([[index.norm_numerator(positions, [x - y for x, y in zip(p, q)])
+                      for q in pts] for p in pts])
 
     # per pair: the common points as a bitmask, and the optimal witness: q at
     # every common point, one max-deviation s inside each closed slot between

@@ -130,18 +130,17 @@ class BrokenLine:
             yield Fraction(arc, P), tuple(point)
 
 
-def ensure_normalized(bush: Bush, tol: float = 1e-9):
-    """Reject bushes that fail normalized validation (cached per bush)."""
+def ensure_normalized(bush: Bush):
+    """Refuse a bush failing `validate_bush` at tol 0, naming the failing
+    checks every time (cached per bush).  No l2 bush of depth >= 1 passes:
+    l2 is strictly convex, so distinct unit children average to a non-unit."""
     index = bush._index
-    ok = index.normalized
-    if ok is None:
-        report = validate_bush(bush, tol=Fraction(tol), normalized=True)
-        ok = index.normalized = report.passed
-        if not ok:
-            failed = [c.name for c in report.checks if not c.passed]
-            raise InputError(f"bush is not a normalized bush; failing checks: {failed}")
-    elif not ok:
-        raise InputError("bush is not a normalized bush")
+    failed = index.failed_checks
+    if failed is None:
+        report = validate_bush(bush, normalized=True)
+        failed = index.failed_checks = [c.name for c in report.checks if not c.passed]
+    if failed:
+        raise InputError(f"bush is not a normalized bush; failing checks: {failed}")
     return bush
 
 

@@ -77,9 +77,7 @@ def test_criterion_2_thickness_game_randomized():
     for i in range(50):
         g, ts = random_challenge(bush, rng, max_pieces=3, max_points=4)
         resp = challenge_respond(bush, g, ts)
-        report = validate_witness(
-            resp.challenge, resp.geodesic, ts, resp.witness, alpha, tol=1e-9
-        )
+        report = validate_witness(resp.challenge, resp.geodesic, ts, resp.witness, alpha)
         assert report.passed, (i, report.as_dict())
         # the validator's recomputed sum matches the responder's claim exactly
         assert report.achieved_deviation == resp.witness.deviation_total
@@ -88,7 +86,7 @@ def test_criterion_2_thickness_game_randomized():
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
     _report(2, f"50 randomized challenges at N=6 all pass validate_witness at "
-               f"alpha=1/4, tol=1e-9; worst deviation {worst}; {elapsed:.1f}s < 60s")
+               f"alpha=1/4, exactly; worst deviation {worst}; {elapsed:.1f}s < 60s")
 
 
 def test_criterion_3_geodesic_property_exact():
@@ -262,7 +260,7 @@ def test_criterion_8_witness_validator_soundness():
     assert not rep_b.passed
     assert not dict((n, ok) for n, ok, _ in rep_b.checks)["interleaving"]
 
-    # (c) perturb g-tilde at a claimed common point by more than tol
+    # (c) perturb g-tilde at a claimed common point
     pieces = list(resp.geodesic.pieces)
     covered = {c for rec in resp.witness.piece_records for c in rec.covers}
     idx = next(
@@ -273,7 +271,7 @@ def test_criterion_8_witness_validator_soundness():
     flipped = (1 - pieces[idx].bits[0],) + pieces[idx].bits[1:]
     pieces[idx] = BranchSpec(flipped, pieces[idx].depth)
     bad_geo = PastedGeodesic(bush, resp.geodesic.breakpoints, tuple(pieces))
-    rep_c = validate_witness(resp.challenge, bad_geo, ts, resp.witness, alpha, tol=1e-9)
+    rep_c = validate_witness(resp.challenge, bad_geo, ts, resp.witness, alpha)
     assert not rep_c.passed
     assert not dict((n, ok) for n, ok, _ in rep_c.checks)["common_at_q"]
     _report(8, "dropping a challenge q-point, breaking the interleaving, and "

@@ -232,3 +232,22 @@ def test_structural_errors_on_construction():
         Bush(space, (((1, 1),),), (((0, 1),),), (), F(1), Functional((F(1, 2), F(1, 2))))
     with pytest.raises(InputError):
         Bush(space, (((1, 1),),), (), (), F(0), Functional((F(1, 2), F(1, 2))))
+
+
+def test_l2_unit_norm_is_checked_on_squares():
+    # the float sqrt(1 + 1e-18) rounds to 1.0; the exact check compares
+    # the squared norm with 1, and the detail keeps its float text
+    delta = F(1, 10**9)
+    bush = Bush(
+        space=NormedSpace(2, "l2"),
+        levels=(((1, 0),), ((1, delta), (1, -delta))),
+        partitions=(((0, 1),),),
+        weights=((F(1, 2), F(1, 2)),),
+        epsilon=delta,
+        functional=Functional((1, 0)),
+    )
+    checks = {c.name: c for c in validate_bush(bush, tol=0).checks}
+    assert [name for name, c in checks.items() if not c.passed] == ["vectors_have_unit_norm"]
+    assert checks["vectors_have_unit_norm"].detail == (
+        "non-unit vectors at [(1, 0, 1.0), (1, 1, 1.0)]"
+    )

@@ -134,6 +134,15 @@ def test_challenge_and_witness_validate(bush_file, tmp_path, capsys):
     assert report["passed"] is False
 
 
+def test_witness_validate_takes_no_tolerance(capsys):
+    # its verdicts are exact, so there is no tolerance to set
+    argv = ["witness-validate", "b.json", "--challenge", "c.json", "--response", "r.json"]
+    with pytest.raises(SystemExit) as exited:
+        main(argv + ["--tolerance", "1e-9"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
+
 def test_challenge_random_seed_deterministic(bush_file, tmp_path, capsys):
     bush_path = bush_file(4)
     out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")

@@ -4,6 +4,7 @@ Every exact check of the game subtracts two points given as integer
 coordinates over one denominator and takes `BushIndex.norm` of the
 cross-multiplied difference; `NormedSpace.dist` on the same points as
 ``Fraction`` tuples is the reference it must match, in value and in type.
+The witness verdicts built on them are exact, with no tolerance.
 """
 
 import random
@@ -71,3 +72,26 @@ def test_achieved_deviation_is_the_dense_sum(seed, which):
     s = resp.witness.s
     pairs = zip(resp.challenge.eval_batch(s), resp.geodesic.eval_batch(s))
     assert report.achieved_deviation == sum(bush.space.dist(u, v) for u, v in pairs)
+
+
+@exact
+@given(
+    seed=st.integers(0, 10**6),
+    which=st.sampled_from(("dyadic", "random")),
+    k=st.integers(0, 15),
+)
+def test_witness_verdict_is_exact_at_the_achieved_deviation(seed, which, k):
+    # alpha equal to the achieved deviation passes; alpha above it by any
+    # 1/10**k fails the deviation sum, and only it
+    bush = dyadic_bush(4) if which == "dyadic" else random_bush(5, depth=3)
+    g, ts = random_challenge(bush, random.Random(seed))
+    try:
+        resp = challenge_respond(bush, g, ts)
+    except BudgetError:  # a depth-3 bush is too shallow to cover some challenges
+        reject()
+    args = (resp.challenge, resp.geodesic, ts, resp.witness)
+    achieved = resp.witness.deviation_total
+    assert validate_witness(*args, achieved).passed
+    report = validate_witness(*args, achieved + F(1, 10**k))
+    assert report.achieved_deviation == achieved
+    assert [name for name, ok, _ in report.checks if not ok] == ["deviation_sum"]

@@ -497,7 +497,7 @@ def test_mixed_stamp_pasting(dyadic):
             assert bush.space.dist(vals[i], vals[j]) == pts[i] - pts[j]
     ts = [F(1, 3), F(7, 9)]
     resp = challenge_respond(bush, geo, ts)
-    report = validate_witness(resp.challenge, resp.geodesic, ts, resp.witness, F(1, 4), tol=0)
+    report = validate_witness(resp.challenge, resp.geodesic, ts, resp.witness, F(1, 4))
     assert report.passed
 
 
@@ -511,9 +511,7 @@ def test_challenge_on_gap_switch_pasting(dyadic):
         g = gap_switch_pasting(bush, (rng.randint(0, 1),), pattern)
         ts = sorted({F(rng.randint(0, 48), 48), F(rng.randint(0, 13), 13)})
         resp = challenge_respond(bush, g, ts)
-        report = validate_witness(
-            resp.challenge, resp.geodesic, ts, resp.witness, bush.epsilon / 4, tol=0
-        )
+        report = validate_witness(resp.challenge, resp.geodesic, ts, resp.witness, bush.epsilon / 4)
         assert report.passed
         assert report.achieved_deviation == resp.witness.deviation_total
 

@@ -7,9 +7,12 @@ import pytest
 
 from bushgeo import (
     BudgetError,
+    Bush,
     BushVectorRef,
+    Functional,
     InputError,
     MidpointRef,
+    NormedSpace,
     Term,
     dyadic_bush,
     intermediate_for_label,
@@ -20,7 +23,7 @@ from bushgeo import (
     sibling_deviation,
 )
 from bushgeo.bushes import DEPTH_BUDGET_ENV
-from bushgeo.lines import _walk, format_label, parse_label
+from bushgeo.lines import _walk, ensure_normalized, format_label, parse_label
 
 F = Fraction
 
@@ -276,6 +279,40 @@ def test_parallel_label_builds_are_deterministic(dyadic):
         assert terms == serial[lbl]
 
 
+def _nearly_normalized_wl1_bush():
+    # every norm is exact: the children have norm 1 + 10**-10, not 1
+    t = F(1, 10**10)
+    half = (F(1, 2), F(1, 2))
+    return Bush(
+        space=NormedSpace(2, "wl1", half),
+        levels=(((1, 1),), ((2 + t, -t), (-t, 2 + t))),
+        partitions=(((0, 1),),),
+        weights=(half,),
+        epsilon=F(1, 2),
+        functional=Functional(half),
+    )
+
+
+def test_ensure_normalized_is_exact():
+    with pytest.raises(InputError, match="vectors_have_unit_norm"):
+        ensure_normalized(_nearly_normalized_wl1_bush())
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_nearly_normalized_wl1_bush, lambda: shift_bush(dyadic_bush(2), (1, 1, 1, 1))],
+    ids=["nearly_normalized_wl1", "shifted_dyadic_2"],
+)
+def test_a_refused_bush_names_its_failing_checks_every_time(make):
+    bush = make()
+    messages = []
+    for _ in range(2):  # the second refusal reads the cached verdict
+        with pytest.raises(InputError, match="vectors_have_unit_norm") as refused:
+            line_for_label(bush, (0,))
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
+
+
 def test_label_parsing():
     assert parse_label("010") == (0, 1, 0)
     assert parse_label("") == ()
@@ -302,58 +339,85 @@ def test_bush_and_its_lines_are_freed_together():
     assert ref() is None
 
 
-def _interpolate(arcs, points, s):
-    """Exact point at arclength s on the polyline through (arcs, points)."""
-    i = bisect_right(arcs, s) - 1
-    if arcs[i] == s:
-        return points[i]
-    a, b, p, q = arcs[i], arcs[i + 1], points[i], points[i + 1]
-    t = (s - a) / (b - a)
-    return tuple(x + t * (y - x) for x, y in zip(p, q))
-
-
 def _scaled(points, den):
-    """Points as integer tuples over ``den``, which must be a common denominator."""
-    assert all(den % d == 0 for d in {x.denominator for point in points for x in point})
-    return [tuple(x.numerator * (den // x.denominator) for x in point) for point in points]
+    """Points of Fractions as integer tuples over ``den``, which must be a
+    common denominator.  Each object converts once: ``points`` keeps it
+    alive, so its id is unique, and the lines share one object per equal
+    coordinate."""
+    memo, out = {}, []
+    for point in points:
+        row = []
+        for x in point:
+            v = memo.get(id(x))
+            if v is None:
+                n, d = x.as_integer_ratio()
+                q, r = divmod(den, d)
+                assert not r, (x, den)
+                v = memo[id(x)] = n * q
+            row.append(v)
+        out.append(tuple(row))
+    return out
 
 
 def _reference_terms(bush, label, intermediate=False):
-    """The (coeff, ref) terms of a line, built from the module docstring's
-    definition in Fractions over ``bush.partitions`` and ``bush.weights``."""
-    terms = [(F(1), BushVectorRef(0, 0))]
+    """The terms of a line, built from the module docstring's definition in
+    integers over ``bush.partitions`` and ``bush.weights``: ``(den, terms)``
+    with one ``(n, ref)`` per term ``(n / den) * ref``."""
+    wden = math.lcm(*(w.denominator for lev in bush.weights for w in lev))
+    iw = [[int(w * wden) for w in lev] for lev in bush.weights]
+    den, terms = 1, [(1, BushVectorRef(0, 0))]
     for bit in (*label, None) if intermediate else label:
+        den *= 2 * wden  # a midpoint term has coefficient c * w, a half c * w / 2
         refined = []
         for c, (level, k) in terms:
             for j in bush.partitions[level][k]:
-                w = F(bush.weights[level][j])
+                n = c * iw[level][j]
                 if bit is None:
-                    refined.append((c * w, MidpointRef(level + 1, k, j)))
+                    refined.append((2 * n, MidpointRef(level + 1, k, j)))
                 else:
-                    halves = [(c * w / 2, BushVectorRef(level, k)),
-                              (c * w / 2, BushVectorRef(level + 1, j))]
+                    halves = [(n, BushVectorRef(level, k)), (n, BushVectorRef(level + 1, j))]
                     refined += halves[::-1] if bit else halves
         terms = [t for t in refined if t[0]]
-    return terms
+    return den, terms
 
 
-def _reference_vertices(bush, terms):
-    """Every (arclength, point) of a line from its terms, in Fractions."""
+def _reference_vertices(bush, den, terms):
+    """Every vertex of a line from its `_reference_terms`, in integers:
+    ``(total, rows)`` with one ``(arc, point)`` per vertex, at arclength
+    ``arc / den`` with coordinates ``point / total``."""
     def support(ref):
         if isinstance(ref, MidpointRef):
             pairs = zip(bush.levels[ref.level - 1][ref.parent], bush.levels[ref.level][ref.child])
-            return [(i, (F(x) + F(y)) / 2) for i, (x, y) in enumerate(pairs) if x or y]
-        return [(i, F(x)) for i, x in enumerate(bush.levels[ref.level][ref.index]) if x]
+            vec = [(F(x) + F(y)) / 2 for x, y in pairs]
+        else:
+            vec = map(F, bush.levels[ref.level][ref.index])
+        return [(i, x) for i, x in enumerate(vec) if x]
 
-    supports = {ref: support(ref) for ref in {ref for _, ref in terms}}
-    arc, point = F(0), [F(0)] * bush.space.dimension
+    exact = {ref: support(ref) for ref in {ref for _, ref in terms}}
+    scale = math.lcm(*(x.denominator for sup in exact.values() for _, x in sup))
+    supports = {ref: [(i, int(x * scale)) for i, x in sup] for ref, sup in exact.items()}
+    arc, point = 0, [0] * bush.space.dimension
     rows = [(arc, tuple(point))]
     for c, ref in terms:
         arc += c
         for i, x in supports[ref]:
             point[i] += c * x
         rows.append((arc, tuple(point)))
-    return rows
+    return den * scale, rows
+
+
+def _interpolate(den, total, rows, s):
+    """The point at arclength ``s`` on the polyline through the integer
+    ``rows`` of `_reference_vertices`: ``(point, over)``, integer
+    coordinates over ``over``."""
+    sn, sd = s.numerator, s.denominator
+    i = bisect_right([arc for arc, _ in rows], s * den) - 1
+    a, u = rows[i]
+    if a * sd == sn * den:
+        return u, total
+    b, v = rows[i + 1]
+    step, offset = (b - a) * sd, sn * den - a * sd
+    return tuple(x * step + offset * (y - x) for x, y in zip(u, v)), total * step
 
 
 DESCENT_BUSHES = {
@@ -365,11 +429,11 @@ DESCENT_BUSHES = {
 
 @pytest.mark.parametrize("name", sorted(DESCENT_BUSHES))
 def test_descent_matches_materialised_lines(name):
-    # the reference builds every line from the definition; the walk-built
-    # line (terms and vertices) must equal it, and eval_batch, which descends
-    # the substitution tree, must give the same exact point at every vertex,
-    # every gap midpoint and some non-dyadic arclengths, on plain and
-    # intermediate lines
+    # the reference builds every line from the definition, in integers; the
+    # walk-built line (terms and vertices) must equal it, and eval_batch,
+    # which descends the substitution tree, must give the same exact point
+    # at every vertex, every gap midpoint and some non-dyadic arclengths, on
+    # plain and intermediate lines
     bush = DESCENT_BUSHES[name]()
     others = [F(k, d) for d in (3, 7, 9) for k in range(1, d)]
     for p in range(6):
@@ -379,25 +443,26 @@ def test_descent_matches_materialised_lines(name):
             if p < bush.depth:
                 lines.append(intermediate_for_label(bush, label))
             for line in lines:
-                terms = _reference_terms(bush, label, line.intermediate)
-                assert list(line.terms) == terms, (label, line.intermediate)
-                rows = _reference_vertices(bush, terms)
-                assert list(line.vertices()) == rows, (label, line.intermediate)
-                arcs, values = zip(*rows)
-                mids = [(a + b) / 2 for a, b in zip(arcs, arcs[1:])]
-                got = line.eval_batch(list(arcs) + mids + others)
-                # vertices and gap midpoints compare as integers over 2 * lcm
-                den = 2 * math.lcm(*(x.denominator for point in values for x in point))
-                at_vertices = _scaled(values, den)
-                at_mids = [
-                    tuple((x + y) // 2 for x, y in zip(u, v))
-                    for u, v in zip(at_vertices, at_vertices[1:])
-                ]
+                where = (label, line.intermediate)
+                den, terms = _reference_terms(bush, label, line.intermediate)
+                coeffs = _scaled([[t.coeff for t in line.terms]], den)[0]
+                assert list(zip(coeffs, (t.ref for t in line.terms))) == terms, where
+                total, rows = _reference_vertices(bush, den, terms)
+                vertices = list(line.vertices())
+                at = _scaled([[arc for arc, _ in vertices]], den)[0]
+                assert list(zip(at, _scaled([x for _, x in vertices], total))) == rows, where
+                arcs = [F(arc, den) for arc, _ in rows]
+                mids = [F(a + b, 2 * den) for (a, _), (b, _) in zip(rows, rows[1:])]
+                got = line.eval_batch(arcs + mids + others)
+                # over 2 * total a vertex doubles and a gap midpoint is the sum of its ends
                 k = len(arcs)
-                assert _scaled(got[:k], den) == at_vertices, (label, line.intermediate)
-                assert _scaled(got[k : 2 * k - 1], den) == at_mids, (label, line.intermediate)
-                expected = [_interpolate(arcs, values, s) for s in others]
-                assert got[2 * k - 1 :] == expected, (label, line.intermediate)
+                at_vertices = [tuple(2 * x for x in point) for _, point in rows]
+                at_mids = [tuple(x + y for x, y in zip(u, v)) for (_, u), (_, v) in zip(rows, rows[1:])]
+                assert _scaled(got[:k], 2 * total) == at_vertices, where
+                assert _scaled(got[k : 2 * k - 1], 2 * total) == at_mids, where
+                for s, x in zip(others, got[2 * k - 1 :]):
+                    point, over = _interpolate(den, total, rows, s)
+                    assert _scaled([x], over) == [point], (where, s)
 
 
 def _window(bush, label, intermediate, a, b):
@@ -414,10 +479,10 @@ def test_walk_lists_the_terms_of_a_window(name):
     for _ in range(80):
         label = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 4)))
         intermediate = rng.random() < 0.5
-        terms = _reference_terms(bush, label, intermediate)
+        den, terms = _reference_terms(bush, label, intermediate)
         arcs = [F(0)]
         for c, _ in terms:
-            arcs.append(arcs[-1] + c)
+            arcs.append(arcs[-1] + F(c, den))
         spans = [(s, e, ref) for s, e, (_, ref) in zip(arcs, arcs[1:], terms)]
         i, j = sorted(rng.sample(range(len(arcs)), 2))
         assert _window(bush, label, intermediate, arcs[i], arcs[j]) == spans[i:j]

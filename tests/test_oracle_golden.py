@@ -8,9 +8,11 @@ The golden file holds ``brute_force_alpha(...).as_dict()`` on:
 - the sibling pairs of ``dyadic_bush(1)`` and ``dyadic_bush(2)``;
 - the branch pairs of ``random_bush(2, depth=2)``;
 - the four branches plus two gap-switch pastings of the sup-norm bush of
-  ``test_families._sup_norm_bush`` (linf);
-- the two branches of a Euclidean bush that is normalized only within the
-  validation tolerance, whose distances are floats.
+  ``test_families._sup_norm_bush`` (linf).
+
+No Euclidean bush of depth >= 1 is normalized, so the oracle refuses one
+(`test_oracle_refuses_a_nearly_flat_l2_bush`); a depth-0 one gives 0
+(`test_oracle_on_a_depth_0_l2_bush`).
 
 It was recorded with the ``Fraction``/``frozenset`` search that
 `reference_alpha` keeps below, and a ``hypothesis`` property compares the
@@ -30,8 +32,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bushgeo import (Bush, Functional, NormedSpace, branch_geodesic, brute_force_alpha, dyadic_bush,
-                     gap_switch_pasting, line_for_label, random_bush)
+from bushgeo import (BranchSpec, Bush, Functional, InputError, NormedSpace, PastedGeodesic,
+                     branch_geodesic, brute_force_alpha, dyadic_bush, gap_switch_pasting,
+                     line_for_label, random_bush)
 from bushgeo.lines import _difference
 
 GOLDEN = Path(__file__).parent / "data" / "oracle_golden.json"
@@ -71,7 +74,7 @@ def _sup_norm_family():
 
 
 def _nearly_flat_l2_bush():
-    # unit norms and separation hold only within ensure_normalized's 1e-9
+    # the children's norms exceed 1 by about 2e-10
     delta = Fraction(2, 10**5)
     return Bush(
         space=NormedSpace(2, "l2"),
@@ -111,11 +114,6 @@ def cases():
     bush, family, grid = _sup_norm_family()
     for n_max in range(4):
         out[f"sup_norm|n_max={n_max}"] = (bush, family, n_max, grid)
-    bush = _nearly_flat_l2_bush()
-    family = [branch_geodesic(bush, (bit,)) for bit in (0, 1)]
-    for n_max in range(2):
-        grid = [0, Fraction(1, 4), Fraction(1, 2), 1]
-        out[f"nearly_flat_l2|n_max={n_max}"] = (bush, family, n_max, grid)
     return out
 
 
@@ -178,6 +176,29 @@ def test_oracle_matches_golden(golden):
     assert set(got) == set(golden)
     for key, report in got.items():
         assert report == golden[key], key
+
+
+def test_oracle_refuses_a_nearly_flat_l2_bush():
+    # its members, built unchecked, are refused when the oracle evaluates them
+    bush = _nearly_flat_l2_bush()
+    family = [PastedGeodesic(bush, (0, 1), (BranchSpec((bit,), 1),)) for bit in (0, 1)]
+    with pytest.raises(InputError, match="vectors_have_unit_norm"):
+        brute_force_alpha(bush, family, 1, [0, Fraction(1, 4), Fraction(1, 2), 1])
+
+
+def test_oracle_on_a_depth_0_l2_bush():
+    # the one Euclidean bush that is normalized: all its geodesics are the
+    # segment to the root, so every distance and the bound are 0
+    root = (Fraction(3, 5), Fraction(4, 5))
+    bush = Bush(space=NormedSpace(2, "l2"), levels=((root,),), partitions=(), weights=(),
+                epsilon=Fraction(1, 2), functional=Functional(root))
+    family = [branch_geodesic(bush, ()) for _ in range(2)]
+    for n_max, n_challenges in enumerate((2, 10, 22)):
+        report = brute_force_alpha(bush, family, n_max, [0, Fraction(1, 4), Fraction(1, 2), 1])
+        assert report.as_dict() == {
+            "alpha_bound": "0", "n_geodesics": 2, "n_challenges": n_challenges, "grid_size": 4,
+            "worst_case": {"geodesic_index": 0, "challenge_points": [], "best_deviation": "0"},
+        }
 
 
 _HAMMING = _hamming_family()
