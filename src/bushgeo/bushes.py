@@ -16,7 +16,6 @@ construction.
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,25 +23,9 @@ from functools import cached_property
 from itertools import compress
 from typing import NamedTuple, Union
 
-from .errors import BudgetError, DimensionMismatch, InputError, StructuralError
+from .errors import DimensionMismatch, InputError, StructuralError, check_budget
 from .rationals import Scalar, Vec, vadd
 from .spaces import Functional, NormedSpace
-
-DEFAULT_DEPTH_BUDGET = 12
-DEPTH_BUDGET_ENV = "BUSHGEO_MAX_DEPTH"
-
-
-def depth_budget() -> int:
-    raw = os.environ.get(DEPTH_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_DEPTH_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise InputError(f"{DEPTH_BUDGET_ENV} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise InputError(f"{DEPTH_BUDGET_ENV} must be >= 1, got {value}")
-    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,16 +422,13 @@ def dyadic_bush(n_levels: int) -> Bush:
     Depth ``n_levels``, ambient dimension 2**n_levels, weights 2**-n_levels
     per coordinate.  x[n][j] equals 2**n on the j-th block of 2**(N-n)
     coordinates and 0 elsewhere; every block is a pair with weights 1/2 and
-    epsilon = 1.  Passes validate_bush with tol = 0.
+    epsilon = 1.  Passes validate_bush with tol = 0.  Its (2**(N+1) - 1)
+    dense vectors fit the size budget up to N = 12.
     """
     if n_levels < 1:
         raise InputError(f"need n_levels >= 1, got {n_levels}")
-    budget = depth_budget()
-    if n_levels > budget:
-        raise BudgetError(
-            f"n_levels = {n_levels} exceeds depth budget {budget}", required=n_levels
-        )
     dim = 2 ** n_levels
+    check_budget(f"dyadic_bush({n_levels})", (2 * dim - 1) * dim)
     w = Fraction(1, dim)
     space = NormedSpace(dim, "wl1", (w,) * dim)
     levels = []
@@ -490,13 +470,20 @@ def random_bush(
     mass ratios, the integral functional w has operator norm one and value
     one on every group, and the child-parent distance is exactly
     2*(1 - weight).  epsilon is set to the minimum such distance (tight) or
-    to a random fraction of it.
+    to a random fraction of it.  A level-n group holds at least 2**(depth-n)
+    atoms, so the dense vectors hold at most ``atoms * sum_n atoms //
+    2**(depth-n)`` cells, with ``atoms = 2**depth + extra_atoms``; that is
+    checked against the size budget before any draw.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
-    budget = depth_budget()
-    if depth > budget:
-        raise BudgetError(f"depth {depth} exceeds depth budget {budget}", required=depth)
+    if extra_atoms < 0:
+        raise InputError(f"extra_atoms must be >= 0, got {extra_atoms}")
+    atoms = 2 ** depth + extra_atoms
+    check_budget(
+        f"random_bush(depth={depth}, extra_atoms={extra_atoms})",
+        atoms * sum(atoms >> (depth - n) for n in range(depth + 1)),
+    )
     rng = random.Random(seed)
     n_atoms = 2 ** depth + rng.randrange(extra_atoms + 1) if extra_atoms else 2 ** depth
     masses = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n_atoms)]

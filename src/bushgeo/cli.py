@@ -2,19 +2,19 @@
 
 Every subcommand reads/writes the JSON formats from `formats` and prints a
 machine-readable report (stable key order).  Exit codes: 0 pass, 1
-validation failure, 2 input error, 3 budget error.
+validation failure, 2 input error or unwritable output, 3 budget error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import functools
 import random
 import sys
 from fractions import Fraction
 
 from . import formats
-from .bushes import DEPTH_BUDGET_ENV, dyadic_bush, lambda_max, random_bush, validate_bush
+from .bushes import dyadic_bush, lambda_max, random_bush, validate_bush
 from .errors import BudgetError, InputError
 from .families import (
     brute_force_alpha,
@@ -226,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bushgeo",
         description="Bushes, broken-line geodesics, and the thickness game.",
     )
-    parser.add_argument("--depth-budget", type=int, help="override the global depth budget")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bush-gen", help="generate a canonical bush")
@@ -306,25 +305,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on the first `main` call, then reused
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    saved = os.environ.get(DEPTH_BUDGET_ENV)
-    if args.depth_budget is not None:
-        os.environ[DEPTH_BUDGET_ENV] = str(args.depth_budget)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return BUDGET_ERROR
-    except InputError as exc:
+    except (InputError, OSError) as exc:  # reads raise InputError; writes raise OSError
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    finally:
-        if args.depth_budget is not None:
-            if saved is None:
-                os.environ.pop(DEPTH_BUDGET_ENV, None)
-            else:
-                os.environ[DEPTH_BUDGET_ENV] = saved
 
 
 if __name__ == "__main__":

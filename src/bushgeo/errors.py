@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all bushgeo modules.
 
-Exit-code mapping used by the CLI: InputError -> 2, BudgetError -> 3,
-validation failures are reported (exit 1), everything else is a bug.
+Exit-code mapping used by the CLI: InputError (and an OSError writing an
+output file) -> 2, BudgetError -> 3, validation failures are reported
+(exit 1), everything else is a bug.  The one size budget and its check
+live here too.
 """
 
 
@@ -31,11 +33,25 @@ class PastingError(InputError):
 
 
 class BudgetError(BushgeoError):
-    """A depth or combinatorial budget was exhausted."""
+    """A construction would exceed the size budget, or a label or depth the
+    bush is too shallow for; ``required`` is the size or depth it needs."""
 
     def __init__(self, message, required=None):
         super().__init__(message)
         self.required = required
+
+
+BUDGET = 2**25  # cells: dense coordinates, line terms or oracle work entries
+
+
+def check_budget(what: str, required: int) -> None:
+    """Refuse, before any work, to build ``what`` of ``required`` cells
+    when that exceeds `BUDGET`."""
+    if required > BUDGET:
+        raise BudgetError(
+            f"{what} needs {required} cells, over the size budget of {BUDGET}",
+            required=required,
+        )
 
 
 class NumericalError(BushgeoError):

@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bushes import Bush, depth_budget, lambda_max
-from .errors import BudgetError, InputError, PastingError
+from .bushes import Bush, lambda_max
+from .errors import BudgetError, InputError, PastingError, check_budget
 from .lines import (_check_label, _descend, _difference, _fractions, _on_vertex, _point,
                     format_label, intermediate_for_label, line_for_label)
 from .rationals import Vec
@@ -79,20 +79,13 @@ class BranchSpec:
         return self if depth <= self.depth else BranchSpec(self.bits, depth)
 
 
-def default_depth(bush: Bush) -> int:
-    return min(bush.depth, depth_budget())
-
-
 def make_branch(bush: Bush, bits: Sequence[int], depth: Optional[int] = None) -> BranchSpec:
-    budget = depth_budget()
-    depth = min(bush.depth, budget) if depth is None else depth
+    """The branch of ``bits`` evaluated at ``depth``, by default the bush
+    depth; a depth past the bush depth is refused."""
+    depth = bush.depth if depth is None else depth
     if depth > bush.depth:
         raise BudgetError(
             f"evaluation depth {depth} exceeds bush depth {bush.depth}", required=depth
-        )
-    if depth > budget:
-        raise BudgetError(
-            f"evaluation depth {depth} exceeds depth budget {budget}", required=depth
         )
     return BranchSpec(tuple(bits), depth)
 
@@ -110,11 +103,6 @@ def branch_eval(bush: Bush, spec: BranchSpec, s) -> BranchValue:
     (exact at every vertex of the depth-D line).
     """
     s = Fraction(s)
-    if spec.depth > bush.depth:
-        raise BudgetError(
-            f"evaluation depth {spec.depth} exceeds bush depth {bush.depth}",
-            required=spec.depth,
-        )
     _check_label(bush, spec.depth)
     value = _fractions(_point(bush, _descend(bush, spec.extended_label(), s), s))
     return BranchValue(value, lambda_max(bush) ** spec.depth)
@@ -177,12 +165,6 @@ def paste(bush: Bush, breakpoints: Sequence, pieces: Sequence[BranchSpec]) -> Pa
     for a, b in zip(breakpoints, breakpoints[1:]):
         if not a < b:
             raise PastingError(f"breakpoints must increase strictly, got {a} >= {b}")
-    for piece in pieces:
-        if piece.depth > bush.depth:
-            raise BudgetError(
-                f"piece depth {piece.depth} exceeds bush depth {bush.depth}",
-                required=piece.depth,
-            )
     _check_label(bush, max(p.depth for p in pieces))  # refuses what any piece would
     junctions = []  # (h, left path, right path); all vertex checks come first
     for h, *sides in zip(breakpoints[1:-1], pieces, pieces[1:]):
@@ -282,15 +264,15 @@ def _merge_intervals(intervals):
 
 
 def _covering_for_piece(bush, piece, h0, h1, ts, cap):
-    """Smallest L with h0, h1 vertex-aligned and the ts coverable by
+    """Smallest L < cap with h0, h1 vertex-aligned and the ts coverable by
     depth-L vertex gaps of total length <= (h1 - h0) / 2; one descent per
-    point gives its gap at every L (lines past the budget are refused)."""
-    levels = min(cap, depth_budget() + 1)
-    label = piece.extended_label(max(levels - 1, 0))
+    point gives its gap at every L.  ``cap`` is at most the bush depth, so
+    the flipped branch at L + 1 <= cap always exists."""
+    label = piece.extended_label(max(cap - 1, 0))
     _check_label(bush, len(label))
     ends = [_descend(bush, label, h) for h in (h0, h1)]
     paths = [(t, _descend(bush, label, t)) for t in ts]
-    for level in range(levels):
+    for level in range(cap):
         if not (_on_vertex(ends[0][level], h0) and _on_vertex(ends[1][level], h1)):
             continue
         covers = []
@@ -304,8 +286,6 @@ def _covering_for_piece(bush, piece, h0, h1, ts, cap):
         total = sum((b - a for a, b in covers), ZERO)
         if total <= (h1 - h0) * HALF:
             return level, covers
-    if levels < cap:
-        _check_label(bush, levels)
     raise BudgetError(
         f"no depth L < {cap} admits a half-length covering of "
         f"{len(ts)} challenge points in piece [{h0}, {h1}]; "
@@ -332,7 +312,7 @@ def challenge_respond(
     """
     if depth_limit is not None and depth_limit < 1:
         raise InputError(f"depth limit must be >= 1, got {depth_limit}")
-    cap = min(bush.depth, depth_limit if depth_limit is not None else depth_budget())
+    cap = bush.depth if depth_limit is None else min(bush.depth, depth_limit)
     ts_all = sorted(set(Fraction(t) for t in t_points))
     if ts_all and (ts_all[0] < 0 or ts_all[-1] > 1):
         raise InputError("challenge points must lie in [0, 1]")
@@ -540,10 +520,6 @@ class BruteForceReport:
         }
 
 
-MAX_FAMILY = 64
-MAX_POINTS = 3
-
-
 def brute_force_alpha(
     bush: Bush, family: Sequence[PastedGeodesic], n_max: int, grid: Sequence
 ) -> BruteForceReport:
@@ -561,16 +537,12 @@ def brute_force_alpha(
     0, where all members coincide).  A pair's common points form an int
     bitmask; per g the candidates are tried by decreasing deviation, and the
     first whose mask contains S is the best.  Only the result becomes a
-    ``Fraction``.
+    ``Fraction``.  Before any member is evaluated, the predicted work is
+    checked against the size budget: n(n - 1)/2 * K pair entries plus
+    n * sum_{s <= n_max} C(K, s) challenge scans, for n members and K grid
+    points.
     """
     family = list(family)
-    if len(family) > MAX_FAMILY:
-        raise BudgetError(
-            f"family of {len(family)} exceeds the brute-force budget {MAX_FAMILY}",
-            required=len(family),
-        )
-    if n_max > MAX_POINTS:
-        raise BudgetError(f"n_max = {n_max} exceeds the brute-force budget {MAX_POINTS}")
     if n_max < 0:
         raise InputError(f"n_max must be >= 0, got {n_max}")
     if not family:
@@ -584,6 +556,11 @@ def brute_force_alpha(
     index = bush._index
     K = len(grid)
     n = len(family)
+    sizes = range(min(n_max, K) + 1)
+    check_budget(
+        f"brute_force_alpha over {n} members, {K} grid points and n_max = {n_max}",
+        n * (n - 1) // 2 * K + n * sum(math.comb(K, size) for size in sizes),
+    )
 
     # ids[i][k]: member i's point at grid index k, interned per index
     values = [list(geo._points(grid)) for geo in family]
@@ -620,7 +597,7 @@ def brute_force_alpha(
 
     challenges = [
         (subset, sum(1 << k for k in subset))
-        for size in range(min(n_max, K) + 1)
+        for size in sizes
         for subset in itertools.combinations(range(K), size)
     ]
     bound = None
@@ -665,7 +642,7 @@ def random_challenge(
     is always valid); prefixes and junction lines are no deeper than the
     pieces, and challenge points mix dyadic and non-dyadic rationals.
     """
-    piece_depth = default_depth(bush) if depth is None else depth
+    piece_depth = bush.depth if depth is None else depth
     max_prefix = min(max_prefix, piece_depth)
     junction_depth = min(junction_depth, piece_depth)
     n_pieces = rng.randint(1, max_pieces)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bushes import Bush
-from .errors import InputError
+from .errors import InputError, check_budget
 from .families import BranchSpec, PastedGeodesic, ThicknessWitness, paste
 from .lines import BrokenLine, format_label
 from .rationals import format_rational, format_vector, parse_rational, parse_vector
@@ -280,6 +280,8 @@ def geodesic_table(geo: PastedGeodesic, samples: int = 64, mode: str = "rational
     """Sampled table of a pasted geodesic (breakpoints always included)."""
     if samples < 1:
         raise InputError(f"samples must be >= 1, got {samples}")
+    check_budget(f"a {samples}-sample geodesic table",
+                 (samples + 1) * geo.bush.space.dimension)
     points = sorted(
         set(Fraction(k, samples) for k in range(samples + 1)) | set(geo.breakpoints)
     )

@@ -35,8 +35,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
-from .bushes import Bush, BushVectorRef, GeneratorRef, MidpointRef, depth_budget, validate_bush
-from .errors import BudgetError, InputError
+from .bushes import Bush, BushVectorRef, GeneratorRef, MidpointRef, validate_bush
+from .errors import BudgetError, InputError, check_budget
 from .rationals import Vec
 
 HALF = Fraction(1, 2)
@@ -68,8 +68,10 @@ class BrokenLine:
 
     @property
     def terms(self) -> tuple:
-        """Every term, from one walk; equal terms and lengths share objects."""
+        """Every term, from one walk; equal terms and lengths share objects.
+        The term count is checked against the size budget first."""
         if self._terms is None:
+            check_budget(repr(self), _term_count(self.bush, len(self.label), self.intermediate))
             den, leaves = self.window()
             coeffs, shared, terms = {}, {}, []
             for _, length, ref in leaves:
@@ -146,14 +148,10 @@ def ensure_normalized(bush: Bush):
 
 def _check_label(bush: Bush, length: int, intermediate: bool = False):
     """Refuse the line of a length-``length`` label (or its intermediate
-    line) as building it would: unnormalized bush, or the first refinement
-    step past the depth budget or past the bush depth."""
+    line) as building it would: unnormalized bush, or a refinement step past
+    the bush depth.  This is the one label-versus-depth check; the size of a
+    whole line is checked only where one is built (`_term_count`)."""
     ensure_normalized(bush)
-    budget = depth_budget()
-    if budget < length and budget <= bush.depth:
-        raise BudgetError(
-            f"label length {budget + 1} exceeds depth budget {budget}", required=budget + 1
-        )
     if bush.depth < length + intermediate:
         raise BudgetError(
             f"refining a length-{bush.depth} label needs bush depth >= {bush.depth + 1}, "
@@ -181,6 +179,23 @@ def _run(bush: Bush, ref: BushVectorRef, bit: Optional[int]) -> list:
             child = index.vector_refs[level + 1][j]
             run += ((iw, child), (iw, ref)) if bit else ((iw, ref), (iw, child))
     return run
+
+
+def _term_count(bush: Bush, length: int, intermediate: bool = False) -> int:
+    """The number of terms of the line of a length-``length`` label (or of
+    its intermediate line), counted bottom-up over the `_run` sizes without
+    building any.  The bits only reorder each run, so every label of one
+    length has the same count.  The caller checks the label."""
+    index = bush._index
+    live = [[[j for j in block if weights[j]] for block in lev]
+            for lev, weights in zip(bush.partitions[: length + intermediate], index.int_weights)]
+    # counts[l][k]: the terms one term x[l][k] becomes in the steps still to come
+    counts = [[len(b) for b in live[l]] if intermediate else [1] * len(bush.levels[l])
+              for l in range(length + 1)]
+    for _ in range(length):
+        counts = [[len(b) * c + sum(below[j] for j in b) for b, c in zip(live[l], row)]
+                  for l, (row, below) in enumerate(zip(counts, counts[1:]))]
+    return counts[0][0]
 
 
 def _descend(bush: Bush, label: tuple, s: Fraction, intermediate: bool = False) -> list:
@@ -376,9 +391,11 @@ def sibling_deviation(
     gap), the children (label+0) and (label+1) place new vertices u, v at
     the gap's arclength midpoint with ||u - v|| = (gap length / 2) *
     ||x_parent - x_child||, which is >= (gap length) * epsilon / 2.  The
-    full selection therefore totals at least epsilon / 2.
+    full selection therefore totals at least epsilon / 2.  The gap count is
+    checked against the size budget before the gaps are listed.
     """
     mid = intermediate_for_label(bush, label)
+    check_budget(repr(mid), _term_count(bush, len(mid.label), True))
     den, walk = mid.window()
     terms = list(walk)
     n = len(terms)

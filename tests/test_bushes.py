@@ -16,7 +16,7 @@ from bushgeo import (
     shift_bush,
     validate_bush,
 )
-from bushgeo.bushes import DEPTH_BUDGET_ENV
+from bushgeo import errors
 from bushgeo.lines import MidpointRef
 
 F = Fraction
@@ -214,14 +214,28 @@ def test_random_bush_validates(seed):
 
 
 def test_depth_budget(monkeypatch):
-    with pytest.raises(BudgetError):
+    # the constructors are refused by their dense size, (2**(N+1) - 1)
+    # vectors of 2**N coordinates for the dyadic bush; 12 is the deepest
+    with pytest.raises(BudgetError) as refused:
         dyadic_bush(13)
-    monkeypatch.setenv(DEPTH_BUDGET_ENV, "2")
-    with pytest.raises(BudgetError):
+    assert refused.value.required == 134_209_536 > errors.BUDGET >= 33_550_336
+    with pytest.raises(BudgetError) as refused:
+        random_bush(0, depth=13)
+    assert refused.value.required == (2**14 - 1) * 2**13
+    # a level-n group holds >= 2**(12-n) of the 4,097 atoms
+    with pytest.raises(BudgetError) as refused:
+        random_bush(0, depth=12, extra_atoms=1)
+    assert refused.value.required == 4097 * (4097 + sum(2**n for n in range(12)))
+    monkeypatch.setattr(errors, "BUDGET", 9 * (9 + 4 + 2 + 1) - 1)
+    random_bush(0, depth=3)
+    with pytest.raises(BudgetError) as refused:
+        random_bush(0, depth=3, extra_atoms=1)
+    assert refused.value.required == 9 * (9 + 4 + 2 + 1)
+    monkeypatch.setattr(errors, "BUDGET", 28)  # dyadic_bush(2) exactly
+    dyadic_bush(2)
+    with pytest.raises(BudgetError) as refused:
         dyadic_bush(3)
-    monkeypatch.setenv(DEPTH_BUDGET_ENV, "not-a-number")
-    with pytest.raises(InputError):
-        dyadic_bush(2)
+    assert refused.value.required == 15 * 8
 
 
 def test_structural_errors_on_construction():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bushgeo import branch_geodesic, challenge_respond, dyadic_bush
+from bushgeo import BudgetError, branch_geodesic, challenge_respond, dyadic_bush
 from bushgeo.cli import main
 from bushgeo.formats import (
     bush_to_dict,
@@ -259,6 +259,15 @@ def test_input_error_exit_code(capsys):
                      None, id="selection-a"),
         pytest.param(["export", "{bush}", "--geodesic", "{geodesic}", "--samples", "0",
                       "--out", "{out}"], None, id="samples-0"),
+        pytest.param(["bush-gen", "--random", "3", "--extra-atoms", "-1", "-o", "{out}"],
+                     None, id="extra-atoms-negative"),
+        # {out} does not exist, so nothing can be written below it
+        pytest.param(["bush-gen", "--dyadic", "2", "-o", "{out}/b.json"], None,
+                     id="bush-gen-into-missing-dir"),
+        pytest.param(["line-build", "{bush}", "--label", "0", "--export", "{out}/l.tsv"], None,
+                     id="line-export-into-missing-dir"),
+        pytest.param(["export", "{bush}", "--label", "0", "--out", "{out}/l.tsv"], None,
+                     id="export-into-missing-dir"),
     ],
 )
 def test_malformed_input_is_an_input_error(tmp_path, capsys, argv, mutate):
@@ -281,11 +290,39 @@ def test_malformed_input_is_an_input_error(tmp_path, capsys, argv, mutate):
     assert capsys.readouterr().err.startswith("input error: ")
 
 
-def test_budget_error_exit_code(bush_file, capsys):
-    code = main(
-        ["--depth-budget", "1", "line-build", bush_file(2), "--label", "01"]
-    )
+def test_budget_error_exit_code(tmp_path, capsys):
+    code = main(["bush-gen", "--dyadic", "13", "-o", str(tmp_path / "b13.json")])
     assert code == 3
+    assert "budget error" in capsys.readouterr().err
+    assert not (tmp_path / "b13.json").exists()
+
+
+def test_depth_budget_is_not_an_option(bush_file, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["--depth-budget", "1", "line-build", bush_file(2), "--label", "01"])
+    assert exited.value.code == 2
+
+
+def test_geodesic_export_is_refused_by_its_size(tmp_path, capsys, monkeypatch):
+    from bushgeo import PastedGeodesic, errors
+    from bushgeo.formats import geodesic_table
+
+    def no_points(self, points):
+        raise AssertionError("evaluated a refused table")
+
+    bush = dyadic_bush(2)
+    geo = branch_geodesic(bush, (0,))
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("bush", "geo")}
+    dump_json(bush_to_dict(bush), paths["bush"])
+    dump_json(geodesic_to_dict(geo), paths["geo"])
+    monkeypatch.setattr(errors, "BUDGET", 11 * 4 - 1)
+    monkeypatch.setattr(PastedGeodesic, "eval_batch", no_points)
+    with pytest.raises(BudgetError) as refused:
+        geodesic_table(geo, samples=10)
+    assert refused.value.required == 11 * 4  # (samples + 1) rows of 4 coordinates
+    argv = ["export", paths["bush"], "--geodesic", paths["geo"], "--samples", "10",
+            "--out", str(tmp_path / "geo.tsv")]
+    assert main(argv) == 3
     assert "budget error" in capsys.readouterr().err
 
 

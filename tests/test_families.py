@@ -27,7 +27,7 @@ from bushgeo import (
     validate_bush,
     validate_witness,
 )
-from bushgeo.bushes import DEPTH_BUDGET_ENV
+from bushgeo import errors
 
 F = Fraction
 
@@ -156,14 +156,16 @@ def test_paste_accepts_exactly_the_shared_vertices(make_bush):
                 assert ("disagree" if shared else "not a vertex") in str(err.value), (a, b, h)
 
 
-def test_paste_refuses_pieces_as_building_their_lines_would(monkeypatch):
+def test_paste_refuses_pieces_as_building_their_lines_would():
     piece = (BranchSpec((0,), 2),)
     with pytest.raises(InputError):
         paste(shift_bush(dyadic_bush(2), (1, 0, 0, 0)), (0, 1), piece)
-    bush = dyadic_bush(3)
-    monkeypatch.setenv(DEPTH_BUDGET_ENV, "2")
-    with pytest.raises(BudgetError, match="label length 3 exceeds depth budget 2"):
+    bush = dyadic_bush(2)
+    with pytest.raises(BudgetError) as built:
+        line_for_label(bush, (0, 0, 0))
+    with pytest.raises(BudgetError, match="needs bush depth >= 3") as pasted:
         paste(bush, (0, 1), (BranchSpec((0,), 3),))
+    assert str(pasted.value) == str(built.value)
 
 
 def test_pasted_geodesic_is_distance_preserving(dyadic):
@@ -423,13 +425,26 @@ def test_brute_force_single_geodesic(dyadic):
     assert report.alpha_bound == 0
 
 
-def test_brute_force_budgets(dyadic):
+def test_brute_force_budgets(dyadic, monkeypatch):
     bush = dyadic(1)
     g = branch_geodesic(bush, (0,))
-    with pytest.raises(BudgetError):
-        brute_force_alpha(bush, [g] * 65, 1, [F(0), F(1)])
-    with pytest.raises(BudgetError):
-        brute_force_alpha(bush, [g], 4, [F(0), F(1)])
+    # 65 members at n_max 4 on 2 grid points: 65 * 64 / 2 * 2 pair entries
+    # plus 65 * (1 + 2 + 1) challenge scans
+    report = brute_force_alpha(bush, [g] * 65, 4, [F(0), F(1)])
+    assert (report.n_geodesics, report.n_challenges) == (65, 65 * 4)
+    monkeypatch.setattr(errors, "BUDGET", 4160 + 260 - 1)
+    with pytest.raises(BudgetError) as refused:
+        brute_force_alpha(bush, [g] * 65, 4, [F(0), F(1)])
+    assert refused.value.required == 4160 + 260
+
+    def no_points(self, points):
+        raise AssertionError("evaluated a member of a refused family")
+
+    # one member, 1,000 grid points, n_max 3: refused before any evaluation
+    monkeypatch.setattr(PastedGeodesic, "_points", no_points)
+    with pytest.raises(BudgetError) as refused:
+        brute_force_alpha(bush, [g], 3, [F(k, 999) for k in range(1000)])
+    assert refused.value.required == 1 + 1000 + 499_500 + 166_167_000
     with pytest.raises(InputError, match="n_max must be >= 0, got -1"):
         brute_force_alpha(bush, [g], -1, [F(0), F(1)])
     with pytest.raises(InputError):

@@ -22,8 +22,8 @@ from bushgeo import (
     shift_bush,
     sibling_deviation,
 )
-from bushgeo.bushes import DEPTH_BUDGET_ENV
-from bushgeo.lines import _walk, ensure_normalized, format_label, parse_label
+from bushgeo import errors, lines as lines_module
+from bushgeo.lines import _term_count, _walk, ensure_normalized, format_label, parse_label
 
 F = Fraction
 
@@ -189,15 +189,31 @@ def test_distance_preservation_random_bush():
         assert bush.space.dist(values[i], values[j]) == abs(points[i] - points[j])
 
 
-def test_depth_errors(dyadic, monkeypatch):
+def test_depth_errors(dyadic):
     bush = dyadic(2)
     line_for_label(bush, (0, 1))
     with pytest.raises(BudgetError):
         line_for_label(bush, (0, 1, 0))  # bush depth exhausted
-    monkeypatch.setenv(DEPTH_BUDGET_ENV, "1")
-    line_for_label(bush, (0,))
-    with pytest.raises(BudgetError):
-        line_for_label(bush, (0, 1))  # label budget exhausted
+
+
+def test_building_a_line_is_refused_by_its_term_count(dyadic, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("walked a line the budget refuses")
+
+    bush = dyadic(2)
+    line = line_for_label(bush, (0, 1))  # 16 terms
+    point = line.eval_batch([F(1, 3)])
+    monkeypatch.setattr(errors, "BUDGET", 15)
+    monkeypatch.setattr(lines_module, "_walk", no_walk)
+    with pytest.raises(BudgetError) as refused:
+        line.terms
+    assert refused.value.required == 16
+    # the descent builds no line, so the budget does not limit it
+    assert line.eval_batch([F(1, 3)]) == point
+    monkeypatch.setattr(errors, "BUDGET", 7)  # the intermediate line of (0,) has 8 gaps
+    with pytest.raises(BudgetError) as refused:
+        sibling_deviation(bush, (0,))
+    assert refused.value.required == 8
 
 
 def test_intermediate_input_checks(dyadic):
@@ -468,6 +484,18 @@ def test_descent_matches_materialised_lines(name):
 def _window(bush, label, intermediate, a, b):
     den, walk = _walk(bush, label, intermediate, a, b)
     return [(F(start, den), F(start + length, den), ref) for start, length, ref in walk]
+
+
+@pytest.mark.parametrize("name", sorted(DESCENT_BUSHES))
+def test_term_count_is_the_number_of_terms(name):
+    bush = DESCENT_BUSHES[name]()
+    for p in range(6):
+        for intermediate in (False, True)[: 1 + (p < bush.depth)]:
+            count = _term_count(bush, p, intermediate)
+            for n in range(2**p):
+                label = tuple((n >> i) & 1 for i in range(p))
+                make = intermediate_for_label if intermediate else line_for_label
+                assert len(make(bush, label).terms) == count, (label, intermediate)
 
 
 @pytest.mark.parametrize("name", ["dyadic_5", "random_5_d5_x4"])
