@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import accumulate, chain, compress
 from typing import NamedTuple, Union
 
 from .errors import DimensionMismatch, InputError, StructuralError, check_budget
@@ -34,7 +34,10 @@ class Bush:
 
     ``partitions[l][k]`` lists the level-(l+1) children of parent ``k`` at
     level ``l``; ``weights[l][j]`` is the convex weight of child ``j`` at
-    level ``l+1``.  Both have length ``depth``.
+    level ``l+1``.  Both have length ``depth``.  ``levels`` holds the dense
+    vectors.  A constructor may instead pass them as `_Runs`; then
+    ``levels`` is a dense view built on first read, and nothing in the
+    package reads it.
     """
 
     space: NormedSpace
@@ -46,8 +49,15 @@ class Bush:
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
-        levels = tuple(tuple(tuple(vec) for vec in lev) for lev in self.levels)
-        object.__setattr__(self, "levels", levels)
+        runs = self.levels if isinstance(self.levels, _Runs) else None
+        object.__setattr__(self, "_runs", runs)
+        if runs is None:
+            levels = tuple(tuple(tuple(vec) for vec in lev) for lev in self.levels)
+            object.__setattr__(self, "levels", levels)
+        else:
+            levels = runs
+            object.__delattr__(self, "levels")  # `__getattr__` builds it on first read
+        object.__setattr__(self, "level_sizes", tuple(map(len, levels)))
         # blocks are kept in ascending child order: any order represents the
         # same bush, and a fixed one makes every construction deterministic
         object.__setattr__(
@@ -68,10 +78,11 @@ class Bush:
                 f"depth {depth} bush needs {depth} partition/weight levels, "
                 f"got {len(self.partitions)}/{len(self.weights)}"
             )
-        for n, lev in enumerate(levels):
-            for j, vec in enumerate(lev):
-                if len(vec) != self.space.dimension:
-                    raise DimensionMismatch(self.space.dimension, len(vec), f"x[{n}][{j}]")
+        if runs is None:
+            for n, lev in enumerate(levels):
+                for j, vec in enumerate(lev):
+                    if len(vec) != self.space.dimension:
+                        raise DimensionMismatch(self.space.dimension, len(vec), f"x[{n}][{j}]")
         for l in range(depth):
             if len(self.partitions[l]) != len(levels[l]):
                 raise StructuralError(
@@ -88,14 +99,39 @@ class Bush:
                 self.space.dimension, len(self.functional.coefficients), "functional"
             )
 
+    def __getattr__(self, name):
+        # reached only when ``levels`` of a bush built from runs is first read
+        runs = self.__dict__.get("_runs")
+        if name != "levels" or runs is None:
+            raise AttributeError(f"'Bush' object has no attribute {name!r}")
+        zeros = (0,) * self.space.dimension
+        levels = []
+        for lev in runs:
+            dense = []
+            for vec in lev:
+                cells = list(zeros)
+                for start, stop, value in vec:
+                    cells[start:stop] = (value,) * (stop - start)
+                dense.append(tuple(cells))
+            levels.append(tuple(dense))
+        levels = tuple(levels)
+        object.__setattr__(self, "levels", levels)
+        return levels
+
     @property
     def depth(self) -> int:
-        return len(self.levels) - 1
+        return len(self.level_sizes) - 1
 
     @cached_property
     def _index(self) -> "BushIndex":
         """Compiled view of this bush, built on first use and freed with it."""
         return BushIndex(self)
+
+
+class _Runs(tuple):
+    """Bush vectors given as runs: ``runs[n][j]`` lists the ``(start, stop,
+    value)`` stretches of coordinates, in increasing order, on which x[n][j]
+    is a nonzero constant; it is zero elsewhere."""
 
 
 class BushVectorRef(NamedTuple):
@@ -113,51 +149,110 @@ GeneratorRef = Union[BushVectorRef, MidpointRef]
 
 
 def _combine(*terms) -> dict:
-    """Sparse sum of c * v over (c, (indices, values)) terms, zeros dropped."""
-    acc = {}
-    for c, (ii, vv) in terms:
-        for i, v in zip(ii, vv):
-            acc[i] = acc.get(i, 0) + c * v
-    return {i: v for i, v in acc.items() if v}
+    """The jumps ``{breakpoint: jump}`` of the sum of c * v over (c, runs of
+    v) terms: each run (start, stop, value) adds c * value at start and
+    takes it off at stop."""
+    jumps = {}
+    for c, runs in terms:
+        for start, stop, value in runs:
+            cv = c * value
+            jumps[start] = jumps.get(start, 0) + cv
+            jumps[stop] = jumps.get(stop, 0) - cv
+    return jumps
+
+
+def _sweep(jumps: dict) -> list:
+    """The runs ``(start, stop, value)`` of the step function with these
+    jumps: its nonzero stretches in order, each as long as it can be."""
+    runs, value, last = [], 0, 0
+    for b, j in sorted(jumps.items()):
+        if j:
+            if value:
+                runs.append((last, b, value))
+            value += j
+            last = b
+    return runs
+
+
+def _tree_runs(levels, dim: int):
+    """The coordinate order and the runs of dense ``levels`` in it.
+
+    Coordinates are sorted by the chain of supports that contain them,
+    level by level; for a laminar family (``random_bush``) that is tree
+    order, and every support becomes one run.  Any order gives the same
+    results; this one only makes the runs few.  Returns ``(order, runs)``:
+    ``order[p]`` is the coordinate at position p, a ``range`` for the
+    identity.
+    """
+    positions = range(dim)
+    chains = [[] for _ in positions]  # the vectors containing each coordinate, in level order
+    for v, vec in enumerate(chain.from_iterable(levels)):
+        for i in compress(positions, vec):
+            chains[i].append(v)
+    order = sorted(positions, key=chains.__getitem__)
+    where = sorted(positions, key=order.__getitem__)  # the position of each coordinate
+    runs = []
+    for lev in levels:
+        row = []
+        for vec in lev:
+            vec_runs = []
+            for p in sorted(map(where.__getitem__, compress(positions, vec))):
+                value = vec[order[p]]
+                if vec_runs and vec_runs[-1][1] == p and vec_runs[-1][2] == value:
+                    vec_runs[-1][1] = p + 1
+                else:
+                    vec_runs.append([p, p + 1, value])
+            row.append(vec_runs)
+        runs.append(row)
+    return positions if order == list(positions) else tuple(order), runs
 
 
 class BushIndex:
-    """Sparse, integer-scaled view of one bush.
+    """Run-form, integer-scaled view of one bush.
 
-    All bush vector and midpoint coordinates are integer multiples of
-    ``1 / scale`` (2 * lcm of the nonzero coordinate denominators), so
-    ``supports[ref]`` holds a generator's nonzero coordinates as
-    ``(indices, ints)``.  ``vector_refs[n][j]`` and ``midpoint_refs[l][j]``
-    (child j at level l + 1 with its parent) are the one ref object per
-    generator that every line shares; ``int_weights[l][j]`` is child j's
-    weight times ``weight_scale`` (the lcm of the weight denominators).
-    Also holds the parent map, the pair distances and the failing
-    normalized checks; lines are not memoised.
+    The index puts the coordinates in one order (``order[p]`` is the
+    coordinate at position p; the identity for a bush built from runs, else
+    `_tree_runs`'s) and ``inverse[i]`` is coordinate i's position (None for
+    the identity).  All bush vector and midpoint coordinates are integer
+    multiples of ``1 / scale`` (2 * lcm of the nonzero coordinate
+    denominators), so ``supports[ref]`` holds a generator as runs ``(start,
+    stop, int)`` over positions.  ``vector_refs[n][j]`` and
+    ``midpoint_refs[l][j]`` (child j at level l + 1 with its parent) are the
+    one ref object per generator that every line shares;
+    ``int_weights[l][j]`` is child j's weight times ``weight_scale`` (the
+    lcm of the weight denominators).  Also holds the parent map, the pair
+    distances and the failing normalized checks; lines are not memoised.
     """
 
     def __init__(self, bush: Bush):
         self.parents = _parent_map(bush)  # raises StructuralError on overlap/gap
         space = bush.space
-        positions = range(space.dimension)
-        dense = [
-            [(tuple(compress(positions, vec)), vec) for vec in lev] for lev in bush.levels
-        ]
+        dim = space.dimension
+        runs = bush._runs
+        self.order = range(dim)
+        if runs is None:
+            self.order, runs = _tree_runs(bush.levels, dim)
+        self.inverse = None  # the identity
+        if self.order != range(dim):
+            self.inverse = tuple(sorted(range(dim), key=self.order.__getitem__))
         self.scale = scale = 2 * math.lcm(
-            *{vec[i].denominator for lev in dense for ii, vec in lev for i in ii}
+            *{v.denominator for lev in runs for vec in lev for _, _, v in vec}
         )
         self.vector_refs = tuple(
-            tuple(BushVectorRef(n, j) for j in range(len(lev))) for n, lev in enumerate(dense)
+            tuple(BushVectorRef(n, j) for j in range(len(lev))) for n, lev in enumerate(runs)
         )
         self.supports = {
-            ref: (ii, tuple(vec[i].numerator * (scale // vec[i].denominator) for i in ii))
-            for refs, lev in zip(self.vector_refs, dense)
-            for ref, (ii, vec) in zip(refs, lev)
+            ref: tuple((a, b, v.numerator * (scale // v.denominator)) for a, b, v in vec)
+            for refs, lev in zip(self.vector_refs, runs)
+            for ref, vec in zip(refs, lev)
         }
         self.kind = space.kind
         self.norm_denominator = 1  # wl1: lcm of the weight denominators
         if space.kind == "wl1":
             den = math.lcm(*(w.denominator for w in space.weights))
-            self.norm_weights = [w.numerator * (den // w.denominator) for w in space.weights]
+            weights = [space.weights[i] for i in self.order]
+            self.weight_prefix = [0, *accumulate(w.numerator * (den // w.denominator)
+                                                 for w in weights)]
             self.norm_denominator = den
         self.midpoint_refs = tuple(
             tuple(MidpointRef(l + 1, k, j) for j, k in enumerate(owner))
@@ -168,35 +263,36 @@ class BushIndex:
             for ref in refs:
                 parent = self.supports[self.vector_refs[l][ref.parent]]
                 child = self.supports[self.vector_refs[l + 1][ref.child]]
-                both = _combine((1, parent), (1, child))
-                ii = tuple(sorted(both))
                 # both ends are even multiples of 1/scale, so halving is exact
-                self.supports[ref] = (ii, tuple(both[i] // 2 for i in ii))
-                diff = _combine((1, parent), (-1, child))
-                self.pair_distances[ref] = self.norm(diff.keys(), diff.values(), scale)
+                self.supports[ref] = tuple(
+                    (a, b, v // 2) for a, b, v in _sweep(_combine((1, parent), (1, child)))
+                )
+                diff = _sweep(_combine((1, parent), (-1, child)))
+                self.pair_distances[ref] = self.norm(diff, scale)
         self.weight_scale = den = math.lcm(*(w.denominator for lev in bush.weights for w in lev))
         self.int_weights = [
             [w.numerator * (den // w.denominator) for w in lev] for lev in bush.weights
         ]
         self.failed_checks = None  # set by lines.ensure_normalized
 
-    def norm_numerator(self, ii, vv) -> int:
+    def norm_numerator(self, runs) -> int:
         """``norm_denominator`` times the wl1 or linf norm of the integer
-        vector with entries vv at positions ii: an integer."""
+        vector with these runs: an integer."""
         if self.kind == "wl1":
-            w = self.norm_weights
-            return sum(w[i] * abs(v) for i, v in zip(ii, vv))
-        return max(map(abs, vv), default=0)
+            w = self.weight_prefix
+            return sum(abs(v) * (w[b] - w[a]) for a, b, v in runs)
+        return max((abs(v) for _, _, v in runs), default=0)
 
-    def norm(self, ii, vv, den: int) -> Scalar:
-        """Norm of the vector with coordinates ``v / den`` (integers v in vv)
-        at positions ii, with the value and type of ``NormedSpace.norm``:
-        `norm_numerator` over ``norm_denominator * den`` on wl1 and linf, a
-        float on l2.  Bush vectors have ``den = scale``; the distance of two
-        exact points is the norm of their `lines._difference`."""
+    def norm(self, runs, den: int) -> Scalar:
+        """Norm of the vector with runs ``(start, stop, v / den)`` (integers
+        v), with the value and type of ``NormedSpace.norm``: `norm_numerator`
+        over ``norm_denominator * den`` on wl1 and linf, a float on l2.  Bush
+        vectors have ``den = scale``; the distance of two exact points is the
+        norm of their `lines._difference`."""
         if self.kind == "l2":
-            return math.sqrt(float(Fraction(sum(v * v for v in vv), den * den)))
-        return Fraction(self.norm_numerator(ii, vv), self.norm_denominator * den)
+            square = sum(v * v * (b - a) for a, b, v in runs)
+            return math.sqrt(float(Fraction(square, den * den)))
+        return Fraction(self.norm_numerator(runs), self.norm_denominator * den)
 
 
 @dataclass
@@ -234,7 +330,7 @@ def _parent_map(bush: Bush) -> list:
     """parents[l][j] = parent index of vector j at level l+1; raises on overlap/gap."""
     parents = []
     for l in range(bush.depth):
-        size = len(bush.levels[l + 1])
+        size = bush.level_sizes[l + 1]
         owner = [None] * size
         bad = []
         for k, block in enumerate(bush.partitions[l]):
@@ -256,9 +352,10 @@ def _parent_map(bush: Bush) -> list:
     return parents
 
 
-def _l2_outside(vv, den: int, lo, hi=None) -> bool:
-    """Whether ||vv / den||_2 < lo or > hi (>= 0; None: no bound), exactly."""
-    square, den2 = sum(v * v for v in vv), den * den
+def _l2_outside(runs, den: int, lo, hi=None) -> bool:
+    """Whether the l2 norm of the vector with runs ``(start, stop, v / den)``
+    is < lo or > hi (>= 0; None: no bound), exactly."""
+    square, den2 = sum(v * v * (b - a) for a, b, v in runs), den * den
     return (lo > 0 and square < lo * lo * den2) or (hi is not None and square > hi * hi * den2)
 
 
@@ -269,17 +366,20 @@ def validate_bush(bush: Bush, tol: Scalar = 0, normalized: bool = True) -> BushV
     ``normalized=True`` additionally requires unit norms, functional value
     one on every vector, and the derived weight bound
     lambda_max <= 1 - epsilon/2 (a warning only in raw mode, where the
-    derivation's unit-norm hypothesis may fail).  Checks run on the sparse
-    integer supports of the bush's index, in time linear in their size.
+    derivation's unit-norm hypothesis may fail).  Checks run on the integer
+    runs of the bush's index, with prefix sums of the weights and of the
+    functional, in time linear in the number of runs; they read the level
+    sizes, never the dense levels.
     """
     report = BushValidation(normalized=normalized)
     index = bush._index  # raises StructuralError on overlap/gap
     supports = index.supports
     vrefs = index.vector_refs
+    iw, ws = index.int_weights, index.weight_scale
     eps = bush.epsilon
 
-    report.add("root_level_single", len(bush.levels[0]) == 1,
-               f"m0 = {len(bush.levels[0])}")
+    report.add("root_level_single", bush.level_sizes[0] == 1,
+               f"m0 = {bush.level_sizes[0]}")
 
     bad_blocks = [
         (l, k)
@@ -294,36 +394,29 @@ def validate_bush(bush: Bush, tol: Scalar = 0, normalized: bool = True) -> BushV
         + (f"; offenders (parent level, k): {bad_blocks[:5]}" if bad_blocks else ""),
     )
 
-    neg = [
-        (l + 1, j)
-        for l in range(bush.depth)
-        for j, w in enumerate(bush.weights[l])
-        if w < 0
-    ]
+    # weights as integers over weight_scale
+    neg = [(l + 1, j) for l, lev in enumerate(iw) for j, w in enumerate(lev) if w < 0]
     report.add("weights_nonnegative", not neg,
                f"negative weights at {neg[:5]}" if neg else "")
 
     bad_sums = []
     for l in range(bush.depth):
         for k, block in enumerate(bush.partitions[l]):
-            total = sum((bush.weights[l][j] for j in block), Fraction(0))
-            if total != 1:
-                bad_sums.append((l, k, str(total)))
+            total = sum(iw[l][j] for j in block)
+            if total != ws:
+                bad_sums.append((l, k, str(Fraction(total, ws))))
     report.add("block_weights_sum_to_one", not bad_sums,
                f"bad sums at {bad_sums[:5]}" if bad_sums else "")
 
-    # den * parent == sum_j (den * weight_j) * child_j, all on scaled ints
+    # ws * parent == sum_j (ws * weight_j) * child_j, all on scaled ints
     bad_convex = []
     for l in range(bush.depth):
         for k, block in enumerate(bush.partitions[l]):
-            weights = [bush.weights[l][j] for j in block]
-            den = math.lcm(*(w.denominator for w in weights))
             residual = _combine(
-                (-den, supports[vrefs[l][k]]),
-                *((w.numerator * (den // w.denominator), supports[vrefs[l + 1][j]])
-                  for w, j in zip(weights, block)),
+                (-ws, supports[vrefs[l][k]]),
+                *((iw[l][j], supports[vrefs[l + 1][j]]) for j in block),
             )
-            if not block or residual:
+            if not block or any(residual.values()):
                 bad_convex.append((l, k))
     report.add("children_average_to_parent", not bad_convex,
                f"exact convexity fails at (parent level, k): {bad_convex[:5]}"
@@ -331,13 +424,14 @@ def validate_bush(bush: Bush, tol: Scalar = 0, normalized: bool = True) -> BushV
 
     l2 = index.kind == "l2"
     bad_sep = []
+    lo = eps - tol
     for l, refs in enumerate(index.midpoint_refs):
         for j, ref in enumerate(refs):
             d = index.pair_distances[ref]
             if l2:
                 parent, child = supports[vrefs[l][ref.parent]], supports[vrefs[l + 1][j]]
-                diff = _combine((1, parent), (-1, child)).values()
-            if _l2_outside(diff, index.scale, eps - tol) if l2 else d < eps - tol:
+                diff = _sweep(_combine((1, parent), (-1, child)))
+            if _l2_outside(diff, index.scale, lo) if l2 else d < lo:
                 bad_sep.append((l + 1, j, float(d)))
     report.add(
         "children_separated_from_parent",
@@ -345,12 +439,22 @@ def validate_bush(bush: Bush, tol: Scalar = 0, normalized: bool = True) -> BushV
         f"||x_child - x_parent|| < epsilon = {eps} at {bad_sep[:5]}" if bad_sep else "",
     )
 
-    norms = [[index.norm(*supports[ref], index.scale) for ref in refs] for refs in vrefs]
-    max_norm = max(x for row in norms for x in row)
-    report.add("vectors_bounded", True, f"max norm {float(max_norm)}")
+    # wl1, linf: integer numerators over `unit`, the norm one; l2: floats
+    unit = index.norm_denominator * index.scale
+    if l2:
+        norms = [[index.norm(supports[ref], index.scale) for ref in refs] for refs in vrefs]
+    else:
+        norms = [[index.norm_numerator(supports[ref]) for ref in refs] for refs in vrefs]
 
-    lam = max((w for lev in bush.weights for w in lev), default=None)
+    def value(x):
+        return x if l2 else float(Fraction(x, unit))
+
+    max_norm = max(x for row in norms for x in row)
+    report.add("vectors_bounded", True, f"max norm {value(max_norm)}")
+
+    lam = max((w for lev in iw for w in lev), default=None)
     if lam is not None:
+        lam = Fraction(lam, ws)
         ok = lam <= 1 - eps / 2
         detail = f"lambda_max = {lam}, 1 - epsilon/2 = {1 - eps / 2}"
         if normalized:
@@ -362,26 +466,29 @@ def validate_bush(bush: Bush, tol: Scalar = 0, normalized: bool = True) -> BushV
             )
 
     if normalized:
+        slack = Fraction(tol) * unit
         off_unit = [
-            (n, j, float(x))
+            (n, j, value(x))
             for n, row in enumerate(norms)
             for j, x in enumerate(row)
-            if (_l2_outside(supports[vrefs[n][j]][1], index.scale, 1 - tol, 1 + tol) if l2
-                else abs(Fraction(x) - 1) > tol)
+            if (_l2_outside(supports[vrefs[n][j]], index.scale, 1 - tol, 1 + tol) if l2
+                else abs(x - unit) > slack)
         ]
         report.add("vectors_have_unit_norm", not off_unit,
                    f"non-unit vectors at {off_unit[:5]}" if off_unit else "")
 
-        # functional(x) == 1  <=>  sum_i (den * f_i) * (scale * x_i) == den * scale
+        # functional(x) == 1  <=>  sum_i (den * f_i) * (scale * x_i) == den * scale,
+        # a sum over runs with prefix sums F of den * f in the index's order
         coefficients = bush.functional.coefficients
         den = math.lcm(*(f.denominator for f in coefficients))
-        f = [c.numerator * (den // c.denominator) for c in coefficients]
+        F = [0, *accumulate(coefficients[i].numerator * (den // coefficients[i].denominator)
+                            for i in index.order)]
         target = den * index.scale
         off_func = [
             (n, j)
             for n, refs in enumerate(vrefs)
             for j, ref in enumerate(refs)
-            if sum(f[i] * v for i, v in zip(*supports[ref])) != target
+            if sum(v * (F[b] - F[a]) for a, b, v in supports[ref]) != target
         ]
         report.add("functional_is_one_on_vectors", not off_func,
                    f"functional != 1 at {off_func[:5]}" if off_func else "")
@@ -389,7 +496,8 @@ def validate_bush(bush: Bush, tol: Scalar = 0, normalized: bool = True) -> BushV
         dual = bush.space.dual_norm(coefficients)
         report.add(
             "functional_has_unit_operator_norm",
-            not _l2_outside(coefficients, 1, 1 - tol, 1 + tol) if l2
+            not _l2_outside([(i, i + 1, c) for i, c in enumerate(coefficients)], 1,
+                            1 - tol, 1 + tol) if l2
             else abs(Fraction(dual) - 1) <= tol,
             f"dual norm {float(dual)}",
         )
@@ -421,9 +529,10 @@ def dyadic_bush(n_levels: int) -> Bush:
 
     Depth ``n_levels``, ambient dimension 2**n_levels, weights 2**-n_levels
     per coordinate.  x[n][j] equals 2**n on the j-th block of 2**(N-n)
-    coordinates and 0 elsewhere; every block is a pair with weights 1/2 and
-    epsilon = 1.  Passes validate_bush with tol = 0.  Its (2**(N+1) - 1)
-    dense vectors fit the size budget up to N = 12.
+    coordinates and 0 elsewhere, handed to the bush as that one run; every
+    block is a pair with weights 1/2 and epsilon = 1.  Passes validate_bush
+    with tol = 0.  Its (2**(N+1) - 1) vectors would fill the size budget
+    densely up to N = 12, and the budget is checked on that dense size.
     """
     if n_levels < 1:
         raise InputError(f"need n_levels >= 1, got {n_levels}")
@@ -431,16 +540,10 @@ def dyadic_bush(n_levels: int) -> Bush:
     check_budget(f"dyadic_bush({n_levels})", (2 * dim - 1) * dim)
     w = Fraction(1, dim)
     space = NormedSpace(dim, "wl1", (w,) * dim)
-    levels = []
-    for n in range(n_levels + 1):
-        block = 2 ** (n_levels - n)
-        value = 2 ** n
-        lev = []
-        for j in range(2 ** n):
-            vec = [0] * dim
-            vec[j * block : (j + 1) * block] = [value] * block
-            lev.append(tuple(vec))
-        levels.append(tuple(lev))
+    levels = _Runs(
+        tuple(((j * dim >> n, (j + 1) * dim >> n, 2 ** n),) for j in range(2 ** n))
+        for n in range(n_levels + 1)
+    )
     partitions = tuple(
         tuple((2 * k, 2 * k + 1) for k in range(2 ** n)) for n in range(n_levels)
     )
@@ -448,7 +551,7 @@ def dyadic_bush(n_levels: int) -> Bush:
     weights = tuple((half,) * 2 ** (n + 1) for n in range(n_levels))
     return Bush(
         space=space,
-        levels=tuple(levels),
+        levels=levels,
         partitions=partitions,
         weights=weights,
         epsilon=Fraction(1),

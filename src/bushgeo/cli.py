@@ -209,7 +209,7 @@ def cmd_export(args) -> int:
             if args.intermediate
             else line_for_label(bush, label)
         )
-        rows = formats.line_table(line, args.number_format)
+        rows = formats.line_table(line, args.number_format)  # checks the size budget
     elif args.geodesic:
         geo = formats.geodesic_from_dict(bush, formats.load_json(args.geodesic))
         rows = [formats.geodesic_table(geo, samples=args.samples, mode=args.number_format)]

@@ -10,12 +10,14 @@ accepts exactly the checkable sufficient condition (each breakpoint is a
 vertex arclength of both adjacent rendered lines, with equal points).
 Evaluation, pasting and coverings descend the lines' trees; witness gaps,
 gap-switch pastings and random junctions read windows.  None builds a line.
-Every exact check takes points from `lines._point` as integer coordinates
-over one denominator.  Pasting agreement and the witness's distances subtract
-them by cross-multiplying (`lines._difference`); a distance is
-`BushIndex.norm` of that difference (`_distance`), equal in value and type to
-``NormedSpace.dist`` on the ``Fraction`` points.  The oracle puts all its
-points over one denominator and works on integer numerators throughout.
+Every exact check takes points from `lines._point` in run form: integer
+jumps over one denominator, in the coordinate order of the bush's index.
+Pasting agreement and the witness's distances merge two points
+(`lines._difference`); a distance is `BushIndex.norm` of the difference, in
+one sorted sweep (`_distance`), equal in value and type to
+``NormedSpace.dist`` on the ``Fraction`` points.  The oracle interns
+canonical forms (`lines._canonical`) and works on integer numerators
+throughout.
 
 ``challenge_respond`` plays the thickness game: given a pasted geodesic g
 and challenge arclengths t_i, it covers the t_i by vertex-aligned
@@ -36,10 +38,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bushes import Bush, lambda_max
+from .bushes import Bush, _sweep, lambda_max
 from .errors import BudgetError, InputError, PastingError, check_budget
-from .lines import (_check_label, _descend, _difference, _fractions, _on_vertex, _point,
-                    format_label, intermediate_for_label, line_for_label)
+from .lines import (_canonical, _check_label, _descend, _difference, _fractions, _on_vertex,
+                    _point, _term_count, format_label, intermediate_for_label, line_for_label)
 from .rationals import Vec
 
 ZERO = Fraction(0)
@@ -104,7 +106,7 @@ def branch_eval(bush: Bush, spec: BranchSpec, s) -> BranchValue:
     """
     s = Fraction(s)
     _check_label(bush, spec.depth)
-    value = _fractions(_point(bush, _descend(bush, spec.extended_label(), s), s))
+    value = _fractions(bush._index, _point(bush, _descend(bush, spec.extended_label(), s), s))
     return BranchValue(value, lambda_max(bush) ** spec.depth)
 
 
@@ -126,17 +128,24 @@ class PastedGeodesic:
 
     def eval_batch(self, points: Sequence) -> list:
         """Exact points at many arclengths, one tree descent each."""
-        return list(map(_fractions, self._points(points)))
+        index = self.bush._index
+        return [_fractions(index, point) for point in self._points(points)]
 
     def _points(self, points: Sequence):
-        """`eval_batch` as ``(acc, total)`` integer points (`lines._point`),
-        yielded one at a time so that a caller pairing two geodesics holds
-        two dense points, not two lists of them."""
-        labels = [p.extended_label() for p in self.pieces]
+        """`eval_batch` as run-form points (`lines._point`), yielded one at a
+        time so that a caller pairing two geodesics holds two points, not two
+        lists of them."""
         bush = self.bush
-        _check_label(bush, max(p.depth for p in self.pieces))  # refuses what any piece would
-        for s in map(Fraction, points):
-            yield _point(bush, _descend(bush, labels[self.piece_index(s)], s), s)
+        points = list(map(Fraction, points))
+        for label, s in zip(self._labels(points), points):
+            yield _point(bush, _descend(bush, label, s), s)
+
+    def _labels(self, points: Sequence) -> list:
+        """The rendered label of the piece at each arclength, once every
+        piece is checked as building its line would check it."""
+        labels = [p.extended_label() for p in self.pieces]
+        _check_label(self.bush, max(p.depth for p in self.pieces))
+        return [labels[self.piece_index(s)] for s in points]
 
     def deepened(self, depth: int) -> "PastedGeodesic":
         return PastedGeodesic(
@@ -177,7 +186,7 @@ def paste(bush: Bush, breakpoints: Sequence, pieces: Sequence[BranchSpec]) -> Pa
                 )
         junctions.append((h, *paths))
     for h, left, right in junctions:
-        if any(_difference(_point(bush, left, h), _point(bush, right, h))[0]):
+        if any(_difference(_point(bush, left, h), _point(bush, right, h))[0].values()):
             raise PastingError(f"pieces disagree at breakpoint {h}")
     return PastedGeodesic(bush, breakpoints, pieces)
 
@@ -197,12 +206,15 @@ def gap_switch_pasting(
     a valid pasting.  Adjacent equal bits are merged into one piece.
     """
     mid = intermediate_for_label(bush, prefix)
-    den, gaps = mid.window()
-    ends = [Fraction(start + length, den) for start, length, _ in gaps]
     pattern = [int(b) for b in pattern]
+    den, gaps = mid.window()
+    # one gap more than the pattern needs shows a length mismatch
+    ends = [Fraction(start + length, den)
+            for start, length, _ in itertools.islice(gaps, len(pattern) + 1)]
     if len(pattern) != len(ends):
         raise InputError(
-            f"pattern length {len(pattern)} != {len(ends)} gaps of the "
+            f"pattern length {len(pattern)} != "
+            f"{_term_count(bush, len(mid.label), True)} gaps of the "
             f"intermediate line of {format_label(mid.label) or '()'}"
         )
     breakpoints = [ZERO]
@@ -289,7 +301,7 @@ def _covering_for_piece(bush, piece, h0, h1, ts, cap):
     raise BudgetError(
         f"no depth L < {cap} admits a half-length covering of "
         f"{len(ts)} challenge points in piece [{h0}, {h1}]; "
-        f"raise the depth budget or the bush depth",
+        f"raise the bush depth",
         required=cap,
     )
 
@@ -409,10 +421,11 @@ def challenge_respond(
 
 
 def _distance(index, difference: tuple):
-    """Norm of a `lines._difference` (same value and type as the
-    ``NormedSpace.dist`` of the two points as ``Fraction`` tuples)."""
-    d, den = difference
-    return index.norm(range(len(d)), d, den)
+    """Norm of a `lines._difference`, one sorted sweep of its jumps (same
+    value and type as the ``NormedSpace.dist`` of the two points as
+    ``Fraction`` tuples)."""
+    jumps, den = difference
+    return index.norm(_sweep(jumps), den)
 
 
 @dataclass
@@ -530,9 +543,11 @@ def brute_force_alpha(
     scores the optimal grid witness (q = all common grid points, one
     maximizing s per slot); returns the min over challenges of the max
     over candidates.  Works in integers: the points at each grid index are
-    interned over one denominator, so two members share a point when their
-    ids are equal, and every distance (`BushIndex.norm_numerator`) and
-    deviation is an integer numerator over one denominator.  The members
+    interned by canonical form (`lines._canonical`), so two members share a
+    point when their ids are equal (members with a common piece label
+    descend once per grid point), and every distance
+    (`BushIndex.norm_numerator`) and deviation is an integer numerator over
+    one denominator.  The members
     refuse unnormalized bushes, so the norm is wl1 or linf (or l2 at depth
     0, where all members coincide).  A pair's common points form an int
     bitmask; per g the candidates are tried by decreasing deviation, and the
@@ -562,23 +577,26 @@ def brute_force_alpha(
         n * (n - 1) // 2 * K + n * sum(math.comb(K, size) for size in sizes),
     )
 
-    # ids[i][k]: member i's point at grid index k, interned per index
-    values = [list(geo._points(grid)) for geo in family]
-    total = math.lcm(*(t for row in values for _, t in row))
+    # ids[i][k]: member i's point at grid index k, interned per index; members
+    # that share a piece share its descent at each grid point
     points = [{} for _ in grid]
-    ids = [
-        [seen.setdefault(tuple(a * (total // t) for a in acc), len(seen))
-         for seen, (acc, t) in zip(points, row)]
-        for row in values
-    ]
+    known = {}  # (label, k) -> id
+    ids = []
+    for geo in family:
+        ids.append(row := [])
+        for k, (label, s) in enumerate(zip(geo._labels(grid), grid)):
+            if (label, k) not in known:
+                point = _canonical(_point(bush, _descend(bush, label, s), s))
+                known[label, k] = points[k].setdefault(point, len(points[k]))
+            row.append(known[label, k])
     # distance numerators over one denominator (`BushIndex.norm_numerator`)
+    total = math.lcm(*(t for seen in points for _, t in seen))
     den = index.norm_denominator * total
-    positions = range(bush.space.dimension)
     dist = []  # dist[k][a][b]: numerator of the distance of points a and b at index k
     for seen in points:
-        pts = list(seen)
-        dist.append([[index.norm_numerator(positions, [x - y for x, y in zip(p, q)])
-                      for q in pts] for p in pts])
+        pts = [({b: j * (total // t) for b, j in jumps}, 1) for jumps, t in seen]
+        dist.append([[index.norm_numerator(_sweep(_difference(p, q)[0])) for q in pts]
+                     for p in pts])
 
     # per pair: the common points as a bitmask, and the optimal witness: q at
     # every common point, one max-deviation s inside each closed slot between

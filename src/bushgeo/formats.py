@@ -9,6 +9,7 @@ used on validation paths.
 from __future__ import annotations
 
 import decimal
+import itertools
 import json
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -17,7 +18,7 @@ from .bushes import Bush
 from .errors import InputError, check_budget
 from .families import BranchSpec, PastedGeodesic, ThicknessWitness, paste
 from .lines import BrokenLine, format_label
-from .rationals import format_rational, format_vector, parse_rational, parse_vector
+from .rationals import format_rational, format_vector, parse_rational
 from .spaces import Functional, NormedSpace
 
 _DECIMAL_CTX = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_EVEN)
@@ -56,11 +57,12 @@ def space_to_dict(space: NormedSpace) -> dict:
     return doc
 
 
-def space_from_dict(doc: dict) -> NormedSpace:
+def space_from_dict(doc: dict, rational=parse_rational) -> NormedSpace:
     try:
         dimension = int(doc["dimension"])
         kind = doc["norm"]
-        weights = parse_vector(doc["weights"]) if "weights" in doc and doc["weights"] else None
+        weights = (tuple(map(rational, doc["weights"]))
+                   if "weights" in doc and doc["weights"] else None)
     except _MALFORMED as exc:
         raise _malformed("space", exc) from exc
     return NormedSpace(dimension, kind, weights)
@@ -81,20 +83,35 @@ def bush_to_dict(bush: Bush) -> dict:
 
 
 def bush_from_dict(doc: dict) -> Bush:
+    """The bush of a `bush_to_dict` document.  Each distinct rational string
+    is parsed once per document: a bush repeats few values many times."""
+    parsed = {}  # rational string -> Fraction
+
+    def rational(text):
+        if type(text) is not str:  # parsed (or refused) on its own
+            return parse_rational(text)
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = parse_rational(text)
+        return value
+
+    def vector(items):
+        return tuple(map(rational, items))
+
     try:
-        space = space_from_dict(doc["space"])
-        levels = tuple(tuple(parse_vector(vec) for vec in lev) for lev in doc["levels"])
+        space = space_from_dict(doc["space"], rational)
+        levels = tuple(tuple(vector(vec) for vec in lev) for lev in doc["levels"])
         partitions = tuple(
             tuple(tuple(int(j) for j in block) for block in lev) for lev in doc["partitions"]
         )
-        weights = tuple(parse_vector(lev) for lev in doc["weights"])
+        weights = tuple(vector(lev) for lev in doc["weights"])
         return Bush(
             space=space,
             levels=levels,
             partitions=partitions,
             weights=weights,
-            epsilon=parse_rational(doc["epsilon"]),
-            functional=Functional(parse_vector(doc["functional"])),
+            epsilon=rational(doc["epsilon"]),
+            functional=Functional(vector(doc["functional"])),
         )
     except _MALFORMED as exc:
         raise _malformed("bush", exc) from exc
@@ -262,18 +279,20 @@ def dumps_report(doc: dict) -> str:
 
 
 def line_table(line: BrokenLine, mode: str = "rational"):
-    """Vertex table of a broken line, yielded one text row at a time:
-    two header rows, then the arclength and coordinates of each vertex."""
+    """Vertex table of a broken line, an iterator of text rows: two header
+    rows, then the arclength and coordinates of each vertex, one row at a
+    time.  The line is built, and so checked against the size budget, when
+    this is called: before a caller opens the file the rows go to."""
     tag = "~" if line.intermediate else ""
     dim = line.bush.space.dimension
-    yield (
+    header = (
         f"# label={tag}{format_label(line.label) or '()'} "
-        f"terms={len(line.terms)} dimension={dim} format={mode}\n"
+        f"terms={len(line.terms)} dimension={dim} format={mode}\n",
+        "arclength\t" + "\t".join(f"x{i}" for i in range(dim)) + "\n",
     )
-    yield "arclength\t" + "\t".join(f"x{i}" for i in range(dim)) + "\n"
-    for arc, point in line.vertices():
-        cells = (format_number(x, mode) for x in (arc, *point))
-        yield "\t".join(cells) + "\n"
+    rows = ("\t".join(format_number(x, mode) for x in (arc, *point)) + "\n"
+            for arc, point in line.vertices())
+    return itertools.chain(header, rows)
 
 
 def geodesic_table(geo: PastedGeodesic, samples: int = 64, mode: str = "rational") -> str:

@@ -13,11 +13,15 @@ arclength on [0, 1].  Lines are labelled by bit strings:
 
 Each step (`_run`) replaces a term by a run of terms with the same sum, so
 a line is a substitution tree with two readers, both in integers: one
-descent (`_descend`, `_point`) finds the point at an arclength as integer
-coordinates over one denominator, and one window walk (`_walk`) lists the
-terms meeting an arclength window, in order.  Exact checks subtract such
-points by cross-multiplying (`_difference`); only `eval_batch` converts
-them to ``Fraction`` tuples (`_fractions`).  `line_for_label` and
+descent (`_descend`, `_point`) finds the point at an arclength, and one
+window walk (`_walk`) lists the terms meeting an arclength window, in
+order.  Bush vectors are step functions over the coordinate order of the
+bush's index, stored as runs, so a point is a difference array: integer
+jumps ``{breakpoint: jump}`` over one denominator, built in time linear in
+the number of its terms, not in the dimension.  Exact checks subtract
+points by merging them (`_difference`) or compare their `_canonical`
+forms; only `_fractions` (`eval_batch`) turns one into a dense ``Fraction``
+tuple, in the caller's coordinate order.  `line_for_label` and
 `intermediate_for_label` return checked, lazy `BrokenLine` views over the
 walk; nothing is memoised.
 
@@ -106,7 +110,8 @@ class BrokenLine:
         """Exact points at many arclengths, one tree descent each."""
         bush, label, mid = self.bush, self.label, self.intermediate
         _check_label(bush, len(label), mid)
-        return [_fractions(_point(bush, _descend(bush, label, s, mid), s))
+        index = bush._index
+        return [_fractions(index, _point(bush, _descend(bush, label, s, mid), s))
                 for s in map(Fraction, points)]
 
     def vertices(self):
@@ -118,18 +123,24 @@ class BrokenLine:
         dim = self.bush.space.dimension
         P = math.lcm(*(t.coeff.denominator for t in self.terms))
         PS = P * index.scale
-        arc, acc, point = 0, [0] * dim, [ZERO] * dim
-        yield ZERO, tuple(point)
+        arc, acc, point = 0, [0] * dim, [ZERO] * dim  # by position in the index's order
+        inverse = index.inverse
+
+        def row():  # the point in the caller's coordinate order
+            return tuple(point) if inverse is None else tuple(map(point.__getitem__, inverse))
+
+        yield ZERO, row()
         for coeff, ref in self.terms:
             m = coeff.numerator * (P // coeff.denominator)
             arc += m
             fresh = {}
-            for i, v in zip(*index.supports[ref]):
-                a = acc[i] = acc[i] + m * v
-                if a not in fresh:
-                    fresh[a] = Fraction(a, PS)
-                point[i] = fresh[a]
-            yield Fraction(arc, P), tuple(point)
+            for start, stop, v in index.supports[ref]:
+                for p in range(start, stop):
+                    a = acc[p] = acc[p] + m * v
+                    if a not in fresh:
+                        fresh[a] = Fraction(a, PS)
+                    point[p] = fresh[a]
+            yield Fraction(arc, P), row()
 
 
 def ensure_normalized(bush: Bush):
@@ -190,7 +201,7 @@ def _term_count(bush: Bush, length: int, intermediate: bool = False) -> int:
     live = [[[j for j in block if weights[j]] for block in lev]
             for lev, weights in zip(bush.partitions[: length + intermediate], index.int_weights)]
     # counts[l][k]: the terms one term x[l][k] becomes in the steps still to come
-    counts = [[len(b) for b in live[l]] if intermediate else [1] * len(bush.levels[l])
+    counts = [[len(b) for b in live[l]] if intermediate else [1] * bush.level_sizes[l]
               for l in range(length + 1)]
     for _ in range(length):
         counts = [[len(b) * c + sum(below[j] for j in b) for b, c in zip(live[l], row)]
@@ -229,34 +240,62 @@ def _descend(bush: Bush, label: tuple, s: Fraction, intermediate: bool = False) 
 
 def _point(bush: Bush, path: list, s: Fraction) -> tuple:
     """The point at arclength ``s`` from its `_descend` path, exactly, as
-    ``(acc, total)``: integer coordinates ``acc`` over one denominator."""
+    ``(jumps, total)``: the step function over the index's positions that
+    jumps by ``jumps[b] / total`` at position b (zero before the first
+    breakpoint), summed from the runs of its terms."""
     index = bush._index
+    supports = index.supports
     start, _, den, ref, _ = path[-1]
     sn, sd = s.numerator, s.denominator
     counts = {ref: sn * den - start * sd}  # coefficients over den * sd
     for _, _, d, _, before in path:
         for piece, r in before:
             counts[r] = counts.get(r, 0) + piece * (den // d) * sd
-    acc = [0] * bush.space.dimension
+    jumps = {}
     for r, c in counts.items():
-        ii, vv = index.supports[r]
-        for i, v in zip(ii, vv):
-            acc[i] += c * v
-    return acc, den * sd * index.scale
+        for a, b, v in supports[r]:
+            cv = c * v
+            jumps[a] = jumps.get(a, 0) + cv
+            jumps[b] = jumps.get(b, 0) - cv
+    return jumps, den * sd * index.scale
 
 
-def _fractions(point: tuple) -> Vec:
-    """Dense ``Fraction`` coordinates of an ``(acc, total)`` point."""
-    acc, total = point
-    shared = {a: Fraction(a, total) for a in set(acc)}  # coordinates repeat often
-    return tuple(map(shared.__getitem__, acc))
+def _fractions(index, point: tuple) -> Vec:
+    """Dense ``Fraction`` coordinates of a `_point`, in the caller's
+    coordinate order; the only place a point becomes dense."""
+    jumps, total = point
+    dense, value, last, shared = [], 0, 0, {0: ZERO}  # coordinates repeat often
+    for b, j in sorted(jumps.items()):
+        if b > last:
+            x = shared.get(value)
+            if x is None:
+                x = shared[value] = Fraction(value, total)
+            dense += (x,) * (b - last)
+            last = b
+        value += j
+    dense += (ZERO,) * (len(index.order) - last)
+    if index.inverse is None:
+        return tuple(dense)
+    return tuple(map(dense.__getitem__, index.inverse))
 
 
 def _difference(p: tuple, q: tuple) -> tuple:
-    """``p - q`` of two ``(acc, total)`` points, cross-multiplied: integer
-    coordinates over the product of their denominators."""
+    """``p - q`` of two `_point`s: one merge of their jumps, cross-multiplied,
+    over the product of their denominators."""
     (a, ta), (b, tb) = p, q
-    return [x * tb - y * ta for x, y in zip(a, b)], ta * tb
+    jumps = {x: j * tb for x, j in a.items()}
+    for x, j in b.items():
+        jumps[x] = jumps.get(x, 0) - j * ta
+    return jumps, ta * tb
+
+
+def _canonical(point: tuple) -> tuple:
+    """The one form of a `_point`'s value: its nonzero jumps in breakpoint
+    order and its denominator, divided by their gcd.  Two points are equal
+    exactly when their canonical forms are."""
+    jumps, total = point
+    g = math.gcd(total, *jumps.values())
+    return tuple(sorted((b, j // g) for b, j in jumps.items() if j)), total // g
 
 
 def _on_vertex(entry: tuple, s: Fraction) -> bool:

@@ -23,11 +23,13 @@ F = Fraction
 
 
 def _midpoint(bush, ref):
-    """Dense coordinates of a parent-child midpoint, read from the bush index."""
+    """Dense coordinates of a parent-child midpoint, read from the runs of
+    the bush index (over positions; ``order[p]`` is the coordinate)."""
     index = bush._index
     vec = [F(0)] * bush.space.dimension
-    for i, v in zip(*index.supports[ref]):
-        vec[i] = F(v, index.scale)
+    for start, stop, v in index.supports[ref]:
+        for p in range(start, stop):
+            vec[index.order[p]] = F(v, index.scale)
     return tuple(vec)
 
 
@@ -236,6 +238,28 @@ def test_depth_budget(monkeypatch):
     with pytest.raises(BudgetError) as refused:
         dyadic_bush(3)
     assert refused.value.required == 15 * 8
+
+
+def test_dyadic_levels_are_a_dense_view_built_on_first_read():
+    # dyadic_bush hands over one run per vector; validating it and counting
+    # line terms read the level sizes only, and the dense view built on the
+    # first read of `levels` holds the ints the definition gives
+    from bushgeo.lines import _term_count
+
+    bush = dyadic_bush(4)
+    assert validate_bush(bush).passed
+    assert _term_count(bush, 3, True) == 4**3 * 2
+    assert "levels" not in vars(bush)
+    dim = 16
+    expected = tuple(
+        tuple(tuple(2**n if j * dim >> n <= i < (j + 1) * dim >> n else 0 for i in range(dim))
+              for j in range(2**n))
+        for n in range(5)
+    )
+    assert bush.levels == expected
+    assert {type(x) for lev in bush.levels for vec in lev for x in vec} == {int}
+    assert bush.levels is bush.levels
+    assert shift_bush(bush, (0,) * dim).levels == expected
 
 
 def test_structural_errors_on_construction():

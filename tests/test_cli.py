@@ -326,6 +326,19 @@ def test_geodesic_export_is_refused_by_its_size(tmp_path, capsys, monkeypatch):
     assert "budget error" in capsys.readouterr().err
 
 
+def test_refused_line_export_keeps_the_output_file(bush_file, tmp_path, capsys, monkeypatch):
+    # the line's size is checked before --out is opened for writing
+    from bushgeo import errors
+
+    bush_path = bush_file(3)
+    out = tmp_path / "out.tsv"
+    out.write_bytes(b"previous contents\n")
+    monkeypatch.setattr(errors, "BUDGET", 10)
+    assert main(["export", bush_path, "--label", "01", "--out", str(out)]) == 3
+    assert "budget error" in capsys.readouterr().err
+    assert out.read_bytes() == b"previous contents\n"
+
+
 def test_depth_limit_below_one_is_an_input_error(bush_file, capsys):
     for limit in ("0", "-2"):
         code = main(["challenge", bush_file(2), "--seed", "1", "--depth-limit", limit])

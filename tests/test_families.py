@@ -196,6 +196,25 @@ def test_gap_switch_pasting(dyadic):
         gap_switch_pasting(bush, (0,), (0, 1))
 
 
+def test_gap_switch_pasting_refuses_a_wrong_length_early(monkeypatch):
+    # a 1-bit pattern on a prefix whose intermediate line has 2 * 4**8 gaps:
+    # at most len(pattern) + 1 gaps are read before the refusal
+    from bushgeo.lines import BrokenLine
+
+    bush = dyadic_bush(9)
+    read = []
+    window = BrokenLine.window
+
+    def counted(self, a=F(0), b=F(1)):
+        den, gaps = window(self, a, b)
+        return den, (read.append(gap) or gap for gap in gaps)
+
+    monkeypatch.setattr(BrokenLine, "window", counted)
+    with pytest.raises(InputError, match=f"pattern length 1 != {2 * 4**8} gaps"):
+        gap_switch_pasting(bush, (0,) * 8, (1,))
+    assert len(read) <= 2
+
+
 # -------------------------------------------------------- challenge game
 
 

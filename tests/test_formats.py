@@ -45,6 +45,30 @@ def test_bush_round_trip_is_bit_exact(bush_factory):
     assert bush_to_dict(recovered) == doc
 
 
+def test_bush_from_dict_parses_each_rational_string_once(monkeypatch):
+    from bushgeo import Bush, Functional, formats
+    from bushgeo.rationals import parse_rational, parse_vector
+
+    doc = json.loads(json.dumps(bush_to_dict(dyadic_bush(5))))
+    strings = [doc["epsilon"], *doc["space"]["weights"], *doc["functional"]]
+    strings += [x for lev in doc["levels"] for vec in lev for x in vec]
+    strings += [x for lev in doc["weights"] for x in lev]
+    calls = []
+    monkeypatch.setattr(formats, "parse_rational", lambda text: calls.append(text) or parse_rational(text))
+    bush = bush_from_dict(doc)
+    assert sorted(calls) == sorted(set(strings))
+    # the bush parsed string by string, as before the memo
+    reference = Bush(
+        space=formats.NormedSpace(32, "wl1", parse_vector(doc["space"]["weights"])),
+        levels=tuple(tuple(parse_vector(vec) for vec in lev) for lev in doc["levels"]),
+        partitions=tuple(tuple(tuple(b) for b in lev) for lev in doc["partitions"]),
+        weights=tuple(parse_vector(lev) for lev in doc["weights"]),
+        epsilon=parse_rational(doc["epsilon"]),
+        functional=Functional(parse_vector(doc["functional"])),
+    )
+    assert _same_bush(bush, reference)
+
+
 def test_space_round_trip():
     bush = dyadic_bush(1)
     doc = space_to_dict(bush.space)

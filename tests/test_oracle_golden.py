@@ -35,7 +35,6 @@ from hypothesis import strategies as st
 from bushgeo import (BranchSpec, Bush, Functional, InputError, NormedSpace, PastedGeodesic,
                      branch_geodesic, brute_force_alpha, dyadic_bush, gap_switch_pasting,
                      line_for_label, random_bush)
-from bushgeo.lines import _difference
 
 GOLDEN = Path(__file__).parent / "data" / "oracle_golden.json"
 
@@ -118,21 +117,21 @@ def cases():
 
 
 def reference_alpha(bush, family, n_max, grid) -> dict:
-    """The oracle's search in ``Fraction``s and ``frozenset``s: every pair's
-    distances, common grid points and optimal witness, then every challenge
-    set against every candidate.  Returns the report's ``as_dict()``."""
+    """The oracle's search in ``Fraction``s and ``frozenset``s, on the
+    members' dense ``eval_batch`` points and ``NormedSpace.dist``: every
+    pair's distances, common grid points and optimal witness, then every
+    challenge set against every candidate.  Returns the report's
+    ``as_dict()``."""
     grid = sorted(set(Fraction(x) for x in grid))
-    index = bush._index
     K = len(grid)
-    values = [list(geo._points(grid)) for geo in family]
+    values = [geo.eval_batch(grid) for geo in family]
     n = len(family)
     commons = [[None] * n for _ in range(n)]
     dev = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            diffs = [_difference(u, v) for u, v in zip(values[i], values[j])]
-            row = [Fraction(index.norm(range(len(d)), d, den)) for d, den in diffs]
-            com = frozenset(k for k, (d, _) in enumerate(diffs) if not any(d))
+            row = [Fraction(bush.space.dist(u, v)) for u, v in zip(values[i], values[j])]
+            com = frozenset(k for k, (u, v) in enumerate(zip(values[i], values[j])) if u == v)
             commons[i][j] = commons[j][i] = com
             ends = [0, *sorted(com), K - 1]
             dev[i][j] = dev[j][i] = sum(
