@@ -30,7 +30,6 @@ from .families import (
     ChallengeResponse,
     PastedGeodesic,
     ThicknessWitness,
-    branch_eval,
     branch_geodesic,
     brute_force_alpha,
     challenge_respond,

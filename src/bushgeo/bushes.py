@@ -174,6 +174,29 @@ def _sweep(jumps: dict) -> list:
     return runs
 
 
+def _pair_runs(parent, child) -> tuple:
+    """The runs of ``(parent + child) / 2`` and of ``parent - child`` for two
+    vectors given as integer runs with an even sum, each as `_sweep` gives
+    it, from one sorted pass over the breakpoints of both."""
+    parent_jumps, child_jumps = _combine((1, parent)), _combine((1, child))
+    half, diff = [], []
+    p = c = 0
+    last_half = last_diff = 0
+    for b in sorted(parent_jumps.keys() | child_jumps.keys()):
+        jp, jc = parent_jumps.get(b, 0), child_jumps.get(b, 0)
+        if jp != -jc:
+            if p != -c:
+                half.append((last_half, b, (p + c) // 2))
+            last_half = b
+        if jp != jc:
+            if p != c:
+                diff.append((last_diff, b, p - c))
+            last_diff = b
+        p += jp
+        c += jc
+    return tuple(half), diff
+
+
 def _tree_runs(levels, dim: int):
     """The coordinate order and the runs of dense ``levels`` in it.
 
@@ -221,7 +244,9 @@ class BushIndex:
     one ref object per generator that every line shares;
     ``int_weights[l][j]`` is child j's weight times ``weight_scale`` (the
     lcm of the weight denominators).  Also holds the parent map, the pair
-    distances and the failing normalized checks; lines are not memoised.
+    distances, the failing normalized checks and ``runs``, each refinement
+    step's run of terms (`lines._run`) once it is first read; lines are not
+    memoised.
     """
 
     def __init__(self, bush: Bush):
@@ -264,16 +289,14 @@ class BushIndex:
                 parent = self.supports[self.vector_refs[l][ref.parent]]
                 child = self.supports[self.vector_refs[l + 1][ref.child]]
                 # both ends are even multiples of 1/scale, so halving is exact
-                self.supports[ref] = tuple(
-                    (a, b, v // 2) for a, b, v in _sweep(_combine((1, parent), (1, child)))
-                )
-                diff = _sweep(_combine((1, parent), (-1, child)))
+                self.supports[ref], diff = _pair_runs(parent, child)
                 self.pair_distances[ref] = self.norm(diff, scale)
         self.weight_scale = den = math.lcm(*(w.denominator for lev in bush.weights for w in lev))
         self.int_weights = [
             [w.numerator * (den // w.denominator) for w in lev] for lev in bush.weights
         ]
         self.failed_checks = None  # set by lines.ensure_normalized
+        self.runs = {}  # (bit, ref) -> `lines._run`
 
     def norm_numerator(self, runs) -> int:
         """``norm_denominator`` times the wl1 or linf norm of the integer

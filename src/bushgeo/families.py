@@ -36,13 +36,14 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .bushes import Bush, _sweep, lambda_max
+from .bushes import Bush, _sweep
 from .errors import BudgetError, InputError, PastingError, check_budget
 from .lines import (_canonical, _check_label, _descend, _difference, _fractions, _on_vertex,
                     _point, _term_count, format_label, intermediate_for_label, line_for_label)
-from .rationals import Vec
+from .rationals import to_fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -92,24 +93,6 @@ def make_branch(bush: Bush, bits: Sequence[int], depth: Optional[int] = None) ->
     return BranchSpec(tuple(bits), depth)
 
 
-@dataclass(frozen=True)
-class BranchValue:
-    value: Vec
-    error_bound: Fraction
-
-
-def branch_eval(bush: Bush, spec: BranchSpec, s) -> BranchValue:
-    """Depth-D rendering of the branch at arclength s.
-
-    The value differs from the limit geodesic by at most lambda_max**D
-    (exact at every vertex of the depth-D line).
-    """
-    s = Fraction(s)
-    _check_label(bush, spec.depth)
-    value = _fractions(bush._index, _point(bush, _descend(bush, spec.extended_label(), s), s))
-    return BranchValue(value, lambda_max(bush) ** spec.depth)
-
-
 @dataclass(frozen=True, eq=False)
 class PastedGeodesic:
     """Breakpoints 0 = h_0 < ... < h_w = 1 with one branch piece per interval."""
@@ -122,8 +105,16 @@ class PastedGeodesic:
     def n_pieces(self) -> int:
         return len(self.pieces)
 
+    @cached_property
+    def _scaled_breakpoints(self) -> tuple:
+        """The breakpoints as integers over their least common denominator."""
+        den = math.lcm(*(h.denominator for h in self.breakpoints))
+        return den, [h.numerator * (den // h.denominator) for h in self.breakpoints]
+
     def piece_index(self, s: Fraction) -> int:
-        i = bisect_right(self.breakpoints, s) - 1
+        # an integer breakpoint b * den is <= s * den exactly when it is <= its floor
+        den, scaled = self._scaled_breakpoints
+        i = bisect_right(scaled, s.numerator * den // s.denominator) - 1
         return min(max(i, 0), len(self.pieces) - 1)
 
     def eval_batch(self, points: Sequence) -> list:
@@ -136,7 +127,7 @@ class PastedGeodesic:
         time so that a caller pairing two geodesics holds two points, not two
         lists of them."""
         bush = self.bush
-        points = list(map(Fraction, points))
+        points = list(map(to_fraction, points))
         for label, s in zip(self._labels(points), points):
             yield _point(bush, _descend(bush, label, s), s)
 
@@ -145,6 +136,8 @@ class PastedGeodesic:
         piece is checked as building its line would check it."""
         labels = [p.extended_label() for p in self.pieces]
         _check_label(self.bush, max(p.depth for p in self.pieces))
+        if len(labels) == 1:
+            return labels * len(points)
         return [labels[self.piece_index(s)] for s in points]
 
     def deepened(self, depth: int) -> "PastedGeodesic":
@@ -275,24 +268,31 @@ def _merge_intervals(intervals):
     return merged
 
 
+def _vertex_at(path: list, level: int, s: Fraction) -> bool:
+    """Whether ``s`` is a vertex arclength of the line at entry ``level`` of
+    its `_descend` path.  A path that stops early stops on a vertex, which
+    every deeper line keeps, so every level past its last entry is one."""
+    return level >= len(path) or _on_vertex(path[level], s)
+
+
 def _covering_for_piece(bush, piece, h0, h1, ts, cap):
     """Smallest L < cap with h0, h1 vertex-aligned and the ts coverable by
     depth-L vertex gaps of total length <= (h1 - h0) / 2; one descent per
-    point gives its gap at every L.  ``cap`` is at most the bush depth, so
+    point gives its gap at every L until it is a vertex (`_vertex_at`).
+    ``cap`` is at most the bush depth, so
     the flipped branch at L + 1 <= cap always exists."""
     label = piece.extended_label(max(cap - 1, 0))
     _check_label(bush, len(label))
     ends = [_descend(bush, label, h) for h in (h0, h1)]
     paths = [(t, _descend(bush, label, t)) for t in ts]
     for level in range(cap):
-        if not (_on_vertex(ends[0][level], h0) and _on_vertex(ends[1][level], h1)):
+        if not (_vertex_at(ends[0], level, h0) and _vertex_at(ends[1], level, h1)):
             continue
         covers = []
         for t, path in paths:
-            step = path[level]
-            if _on_vertex(step, t):
+            if _vertex_at(path, level, t):
                 continue  # already a vertex: g-tilde passes through it for free
-            start, length, den = step[:3]
+            start, length, den = path[level][:3]
             covers.append((Fraction(start, den), Fraction(start + length, den)))
         covers = _merge_intervals(covers)
         total = sum((b - a for a, b in covers), ZERO)
@@ -325,7 +325,7 @@ def challenge_respond(
     if depth_limit is not None and depth_limit < 1:
         raise InputError(f"depth limit must be >= 1, got {depth_limit}")
     cap = bush.depth if depth_limit is None else min(bush.depth, depth_limit)
-    ts_all = sorted(set(Fraction(t) for t in t_points))
+    ts_all = sorted(set(map(to_fraction, t_points)))
     if ts_all and (ts_all[0] < 0 or ts_all[-1] > 1):
         raise InputError("challenge points must lie in [0, 1]")
 
@@ -379,8 +379,8 @@ def challenge_respond(
         for a, b in complements:
             den, gaps = mid.window(a, b)
             for start, length, ref in gaps:
-                coeff = Fraction(length, den)
-                dev = coeff * HALF * bush._index.pair_distances[ref]
+                distance = bush._index.pair_distances[ref]  # dev = length/den * distance/2
+                dev = Fraction(length * distance.numerator, 2 * den * distance.denominator)
                 gap_records.append(DeviationPoint(Fraction(2 * start + length, 2 * den), dev))
                 deviation_total += dev
                 q_points.update((Fraction(start, den), Fraction(start + length, den)))
@@ -464,15 +464,16 @@ def validate_witness(
     0 <= s_1 <= q_1 <= s_2 <= ... <= q_m <= s_{m+1} <= 1;
     3. g and g-tilde agree at every q_i (distance 0); 4. the deviation sum
     over the s_i is at least alpha.  Also checks that both geodesics pass
-    through the challenge points themselves.
+    through the challenge points themselves.  Each distinct arclength of q,
+    s and the challenge is evaluated once per geodesic.
     """
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise InputError(f"alpha must be positive, got {alpha}")
     report = WitnessReport()
-    q = [Fraction(x) for x in witness.q]
-    s = [Fraction(x) for x in witness.s]
-    ts = [Fraction(t) for t in t_points]
+    q = list(map(to_fraction, witness.q))
+    s = list(map(to_fraction, witness.s))
+    ts = list(map(to_fraction, t_points))
 
     missing = sorted(set(ts) - set(q))
     report.add(
@@ -482,13 +483,12 @@ def validate_witness(
     )
 
     ok_shape = len(s) == len(q) + 1
+    # with |s| = |q| + 1, s_i <= q_i <= s_{i+1} for every i also orders q and s
     ok_order = (
         ok_shape
-        and all(a <= b for a, b in zip(q, q[1:]))
-        and all(a <= b for a, b in zip(s, s[1:]))
-        and (not q or (ZERO <= s[0] <= q[0] and q[-1] <= s[-1] <= ONE))
-        and all(s[i] <= q[i] <= s[i + 1] for i in range(len(q)))
-        and (not s or (ZERO <= s[0] and s[-1] <= ONE))
+        and ZERO <= s[0]
+        and s[-1] <= ONE
+        and all(a <= x <= b for a, x, b in zip(s, q, s[1:]))
     )
     report.add(
         "interleaving",
@@ -496,20 +496,26 @@ def validate_witness(
         "" if ok_order else f"|s| = {len(s)}, |q| = {len(q)}; sequences must interleave",
     )
 
+    # one distance per distinct arclength; at[i] is the slot of the i-th of q, s, t
     index = g.bush._index
+    slots = {}
+    at = [slots.setdefault(x, len(slots)) for x in itertools.chain(q, s, ts)]
+    arcs = list(slots)
+    dist = []
+    for u, v in zip(g._points(arcs), g_tilde._points(arcs)):
+        difference = _difference(u, v)
+        # a common point leaves no nonzero jump: distance 0, with no sweep
+        dist.append(_distance(index, difference) if any(difference[0].values()) else ZERO)
+    nq, ns = len(q), len(s)
 
-    def distances(points):
-        pairs = zip(g._points(points), g_tilde._points(points))
-        return [_distance(index, _difference(u, v)) for u, v in pairs]
-
-    worst_q = max(distances(q), default=ZERO)
+    worst_q = max((dist[i] for i in at[:nq]), default=ZERO)
     report.add("common_at_q", worst_q == 0, f"max ||g(q_i) - g~(q_i)|| = {float(worst_q)}")
 
-    total = sum(map(Fraction, distances(s)), ZERO)
+    total = sum((to_fraction(dist[i]) for i in at[nq : nq + ns]), ZERO)
     report.achieved_deviation = total
     report.add("deviation_sum", total >= alpha, f"sum = {float(total)}, alpha = {float(alpha)}")
 
-    worst_t = max(distances(ts), default=ZERO)
+    worst_t = max((dist[i] for i in at[nq + ns :]), default=ZERO)
     report.add("images_agree_at_challenge_points", worst_t == 0,
                f"max ||g(t_i) - g~(t_i)|| = {float(worst_t)}")
     return report

@@ -15,10 +15,13 @@ Each step (`_run`) replaces a term by a run of terms with the same sum, so
 a line is a substitution tree with two readers, both in integers: one
 descent (`_descend`, `_point`) finds the point at an arclength, and one
 window walk (`_walk`) lists the terms meeting an arclength window, in
-order.  Bush vectors are step functions over the coordinate order of the
-bush's index, stored as runs, so a point is a difference array: integer
-jumps ``{breakpoint: jump}`` over one denominator, built in time linear in
-the number of its terms, not in the dimension.  Exact checks subtract
+order.  A vertex of a line is a vertex of every deeper line, at the same
+point, so a descent stops at the first line on which its arclength is a
+vertex: its path may be shorter than the label.  Bush vectors are step
+functions over the coordinate order of the bush's index, stored as runs,
+so a point is a difference array: integer jumps ``{breakpoint: jump}``
+over one denominator, built in time linear in the number of its terms,
+not in the dimension.  Exact checks subtract
 points by merging them (`_difference`) or compare their `_canonical`
 forms; only `_fractions` (`eval_batch`) turns one into a dense ``Fraction``
 tuple, in the caller's coordinate order.  `line_for_label` and
@@ -41,7 +44,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .bushes import Bush, BushVectorRef, GeneratorRef, MidpointRef, validate_bush
 from .errors import BudgetError, InputError, check_budget
-from .rationals import Vec
+from .rationals import Vec, to_fraction
 
 HALF = Fraction(1, 2)
 ZERO = Fraction(0)
@@ -112,7 +115,7 @@ class BrokenLine:
         _check_label(bush, len(label), mid)
         index = bush._index
         return [_fractions(index, _point(bush, _descend(bush, label, s, mid), s))
-                for s in map(Fraction, points)]
+                for s in map(to_fraction, points)]
 
     def vertices(self):
         """Yield every (arclength, point) pair in order, one row at a time
@@ -171,15 +174,19 @@ def _check_label(bush: Bush, length: int, intermediate: bool = False):
         )
 
 
-def _run(bush: Bush, ref: BushVectorRef, bit: Optional[int]) -> list:
+def _run(bush: Bush, ref: BushVectorRef, bit: Optional[int]) -> tuple:
     """The refinement rule: the terms that replace a term ``c * x[l][k]``.
 
     Per child j of the block below k (zero weights skipped): the midpoint
     term for ``bit=None`` (the intermediate step), else the halves (parent,
     child), swapped for bit 1.  Entries are ``(n, ref)`` for the coefficient
-    ``c * n / (2 * weight_scale)``.
+    ``c * n / (2 * weight_scale)``.  Each run is built once per bush and
+    kept in its index.
     """
     index = bush._index
+    run = index.runs.get((bit, ref))
+    if run is not None:
+        return run
     level, k = ref
     run = []
     for j in bush.partitions[level][k]:
@@ -189,6 +196,7 @@ def _run(bush: Bush, ref: BushVectorRef, bit: Optional[int]) -> list:
         elif iw:
             child = index.vector_refs[level + 1][j]
             run += ((iw, child), (iw, ref)) if bit else ((iw, ref), (iw, child))
+    run = index.runs[bit, ref] = tuple(run)
     return run
 
 
@@ -210,31 +218,42 @@ def _term_count(bush: Bush, length: int, intermediate: bool = False) -> int:
 
 
 def _descend(bush: Bush, label: tuple, s: Fraction, intermediate: bool = False) -> list:
-    """Follow arclength ``s`` down the `_run` steps to the line of ``label``.
+    """Follow arclength ``s`` down the `_run` steps to the line of ``label``,
+    stopping at the first line on which s is a vertex.
 
     Entry i is ``(start, length, den, ref, before)`` for line ``label[:i]``
     (then the intermediate line): its first term ending at or after s spans
     [start/den, (start + length)/den], and ``before`` holds the ``(length,
     ref)`` terms before it in the run that replaced entry i - 1's term.
+    Each step replaces a term by a run with the same sum, so a vertex of
+    one line is a vertex of every deeper line, at the same point: the path
+    ends at the root when s is 0 or 1, and at the first entry whose term
+    ends at s, and every line from there down has s as a vertex.
     Compares integers only; the caller checks the label (`_check_label`).
     """
-    if not 0 <= s <= 1:
+    sn, sd = s.numerator, s.denominator
+    if not 0 <= sn <= sd:
         raise InputError(f"arclength {s} outside [0, 1]")
     index = bush._index
     step = 2 * index.weight_scale
-    sn, sd = s.numerator, s.denominator
     start, length, den, ref = 0, 1, 1, index.vector_refs[0][0]
     path = [(start, length, den, ref, ())]
+    if sn in (0, sd):
+        return path
     for bit in (*label, None) if intermediate else label:
         start, den, before = start * step, den * step, []
+        at = sn * den
         for n, r in _run(bush, ref, bit):
             piece = length * n
-            if (start + piece) * sd >= sn * den:
+            end = (start + piece) * sd
+            if end >= at:
                 break
             before.append((piece, r))
             start += piece
         length, ref = piece, r
         path.append((start, length, den, ref, before))
+        if end == at:
+            break
     return path
 
 
@@ -242,7 +261,8 @@ def _point(bush: Bush, path: list, s: Fraction) -> tuple:
     """The point at arclength ``s`` from its `_descend` path, exactly, as
     ``(jumps, total)``: the step function over the index's positions that
     jumps by ``jumps[b] / total`` at position b (zero before the first
-    breakpoint), summed from the runs of its terms."""
+    breakpoint), summed from the runs of its terms.  A path that ends early
+    gives the same value over a smaller ``total``."""
     index = bush._index
     supports = index.supports
     start, _, den, ref, _ = path[-1]
@@ -322,7 +342,6 @@ def _walk(bush: Bush, label: tuple, intermediate: bool = False, a=ZERO, b=ONE):
     lo, hi = math.floor(a * den), math.ceil(b * den)
 
     def terms():
-        runs = {}
         last = len(bits) - 1
         stack = [(0, den, index.vector_refs[0][0], 0)]
         while stack:
@@ -330,10 +349,8 @@ def _walk(bush: Bush, label: tuple, intermediate: bool = False, a=ZERO, b=ONE):
             if i > last:  # the empty label's line is its root term
                 yield start, length, ref
                 continue
-            key = (bits[i], ref)
-            run = runs.get(key) or runs.setdefault(key, _run(bush, ref, bits[i]))
             kids = []
-            for n, r in run:
+            for n, r in _run(bush, ref, bits[i]):
                 piece = length * n // step
                 if start < hi and start + piece > lo:
                     if i == last:

@@ -23,8 +23,15 @@ def parse_rational(text: str) -> Fraction:
         raise InputError(f"not a rational number: {text!r}") from exc
 
 
+def to_fraction(x) -> Fraction:
+    """``x`` itself when it is a ``Fraction``, else ``Fraction(x)``: the
+    evaluation path wraps only what is not one already."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def format_rational(value: Scalar) -> str:
-    return str(Fraction(value))
+    # an int or a Fraction prints as its Fraction would
+    return str(value if type(value) in (int, Fraction) else Fraction(value))
 
 
 def parse_vector(items: Sequence[str]) -> Vec:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DimensionMismatch, InputError
-from .rationals import Scalar, Vec, vdot
+from .rationals import Scalar, Vec, to_fraction, vdot
 
 NORM_KINDS = ("wl1", "linf", "l2")
 
@@ -65,11 +65,19 @@ class NormedSpace:
     def dual_norm(self, coefficients: Vec) -> Scalar:
         """Operator norm of the coordinate functional with these coefficients."""
         self.check_vector(coefficients, "functional")
+        fs = list(map(to_fraction, coefficients))
         if self.kind == "wl1":
-            return max(abs(Fraction(f)) / w for f, w in zip(coefficients, self.weights))
+            # the largest |f_i| / w_i, compared by cross-multiplying: one division
+            num, den = 0, 1
+            for f, w in zip(fs, self.weights):
+                n, d = abs(f.numerator) * w.denominator, f.denominator * w.numerator
+                if n * den > num * d:
+                    num, den = n, d
+            return Fraction(num, den)
         if self.kind == "linf":
-            return sum((abs(Fraction(f)) for f in coefficients), Fraction(0))
-        return math.sqrt(float(sum(Fraction(f) * Fraction(f) for f in coefficients)))
+            den = math.lcm(*(f.denominator for f in fs))
+            return Fraction(sum(abs(f.numerator) * (den // f.denominator) for f in fs), den)
+        return math.sqrt(float(sum(f * f for f in fs)))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from bushgeo import (
     PastedGeodesic,
     PastingError,
     ThicknessWitness,
-    branch_eval,
     branch_geodesic,
     brute_force_alpha,
     challenge_respond,
@@ -37,17 +36,16 @@ F = Fraction
 
 def test_branch_eval_examples(dyadic):
     bush = dyadic(1)
-    spec = BranchSpec((0,), 1)
-    result = branch_eval(bush, spec, F(1, 4))
-    assert result.value == (F(1, 4), F(1, 4))
-    assert result.error_bound == F(1, 2)
-    assert branch_eval(bush, spec, 0).value == (0, 0)
+    geo = branch_geodesic(bush, (0,), 1)
+    assert geo.eval_batch([F(1, 4)]) == [(F(1, 4), F(1, 4))]
+    assert lambda_max(bush) ** 1 == F(1, 2)  # the depth-1 rendering's error bound
+    assert geo.eval_batch([0]) == [(0, 0)]
 
 
 def test_branch_eval_shared_prefix_vertex(dyadic):
     bush = dyadic(2)
-    a = branch_eval(bush, BranchSpec((0, 0), 2), F(1, 4)).value
-    b = branch_eval(bush, BranchSpec((0, 1), 2), F(1, 4)).value
+    a = branch_geodesic(bush, (0, 0), 2).eval_batch([F(1, 4)])[0]
+    b = branch_geodesic(bush, (0, 1), 2).eval_batch([F(1, 4)])[0]
     # 1/4 is a vertex arclength of the shared prefix line (0)
     assert a == b == line_for_label(bush, (0,)).eval_batch([F(1, 4)])[0]
 
@@ -237,6 +235,34 @@ def test_challenge_with_depth1_vertex_points(dyadic):
     report = validate_witness(resp.challenge, resp.geodesic, ts, resp.witness, F(1, 4))
     assert report.passed
     assert resp.witness.deviation_total >= F(1, 4)
+
+
+@pytest.mark.parametrize(
+    "make_bush",
+    [lambda: dyadic_bush(5), lambda: random_bush(5, depth=5, extra_atoms=4)],
+    ids=["dyadic_5", "random_5_d5_x4"],
+)
+def test_covering_when_every_challenge_point_is_a_level_0_vertex(make_bush):
+    # 0 and 1 are vertices of the root line, so their descents stop at the
+    # root; a piece starting at 0 or ending at 1 must still find the first
+    # level at which both its ends are vertices of its line, and cover nothing
+    bush = make_bush()
+    rng = random.Random(31)
+    pieces_seen = 0
+    for _ in range(40):
+        g, _ = random_challenge(bush, rng, max_pieces=4)
+        ts = [F(0), F(1)]
+        resp = challenge_respond(bush, g, ts)
+        for rec, piece in zip(resp.witness.piece_records, g.pieces):
+            ends = {rec.start, rec.end}
+            level = next(L for L in range(bush.depth)
+                         if ends <= set(line_for_label(bush, piece.extended_label(L)).arclengths))
+            assert rec.refine_depth == level
+            assert rec.covers == ()
+        pieces_seen += g.n_pieces
+        report = validate_witness(resp.challenge, resp.geodesic, ts, resp.witness, bush.epsilon / 4)
+        assert report.passed, report.as_dict()
+    assert pieces_seen > 40  # some geodesics have interior breakpoints
 
 
 def test_challenge_rejects_bad_points(dyadic):

@@ -4,6 +4,8 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bushgeo import (
     BudgetError,
@@ -23,7 +25,8 @@ from bushgeo import (
     sibling_deviation,
 )
 from bushgeo import errors, lines as lines_module
-from bushgeo.lines import _term_count, _walk, ensure_normalized, format_label, parse_label
+from bushgeo.lines import (_canonical, _descend, _point, _run, _term_count, _walk,
+                           ensure_normalized, format_label, parse_label)
 
 F = Fraction
 
@@ -479,6 +482,60 @@ def test_descent_matches_materialised_lines(name):
                 for s, x in zip(others, got[2 * k - 1 :]):
                     point, over = _interpolate(den, total, rows, s)
                     assert _scaled([x], over) == [point], (where, s)
+
+
+def _reference_descend(bush, label, s, intermediate=False):
+    """The full-depth descent: `lines._descend` without its stop at the
+    first vertex level, one entry per line down to the line of ``label``."""
+    index = bush._index
+    step = 2 * index.weight_scale
+    sn, sd = s.numerator, s.denominator
+    start, length, den, ref = 0, 1, 1, index.vector_refs[0][0]
+    path = [(start, length, den, ref, ())]
+    for bit in (*label, None) if intermediate else label:
+        start, den, before = start * step, den * step, []
+        for n, r in _run(bush, ref, bit):
+            piece = length * n
+            if (start + piece) * sd >= sn * den:
+                break
+            before.append((piece, r))
+            start += piece
+        length, ref = piece, r
+        path.append((start, length, den, ref, before))
+    return path
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(DESCENT_BUSHES) + ["random"]),
+    seed=st.integers(0, 10**6),
+    bits=st.lists(st.integers(0, 1), max_size=4),
+    intermediate=st.booleans(),
+    others=st.lists(st.fractions(min_value=0, max_value=1, max_denominator=60), max_size=8),
+)
+def test_descent_stops_at_the_first_vertex_level(name, seed, bits, intermediate, others):
+    # a vertex that first appears on line i of the descent (label[:i], then
+    # the intermediate line) ends its path after i + 1 entries; any other
+    # arclength goes down to the last line; either way the point is the
+    # full-depth descent's point
+    if name == "random":
+        bush = random_bush(seed, depth=4, extra_atoms=3)
+    else:
+        bush = DESCENT_BUSHES[name]()
+    label = tuple(bits)
+    mid = intermediate and len(label) < bush.depth
+    steps = [line_for_label(bush, label[:i]) for i in range(len(label) + 1)]
+    if mid:
+        steps.append(intermediate_for_label(bush, label))
+    first = {}  # vertex arclength -> the first line it is a vertex of
+    for i, line in enumerate(steps):
+        for a in line.arclengths:
+            first.setdefault(a, i)
+    for s in [*first, *others]:
+        path = _descend(bush, label, s, mid)
+        assert len(path) == first.get(s, len(steps) - 1) + 1, (label, mid, s)
+        want = _point(bush, _reference_descend(bush, label, s, mid), s)
+        assert _canonical(_point(bush, path, s)) == _canonical(want), (label, mid, s)
 
 
 def _window(bush, label, intermediate, a, b):
