@@ -24,7 +24,7 @@ from itertools import accumulate, chain, compress
 from typing import NamedTuple, Union
 
 from .errors import DimensionMismatch, InputError, StructuralError, check_budget
-from .rationals import Scalar, Vec, vadd
+from .rationals import Vec, vadd
 from .spaces import Functional, NormedSpace
 
 
@@ -306,15 +306,12 @@ class BushIndex:
             return sum(abs(v) * (w[b] - w[a]) for a, b, v in runs)
         return max((abs(v) for _, _, v in runs), default=0)
 
-    def norm(self, runs, den: int) -> Scalar:
+    def norm(self, runs, den: int) -> Fraction:
         """Norm of the vector with runs ``(start, stop, v / den)`` (integers
-        v), with the value and type of ``NormedSpace.norm``: `norm_numerator`
-        over ``norm_denominator * den`` on wl1 and linf, a float on l2.  Bush
-        vectors have ``den = scale``; the distance of two exact points is the
-        norm of their `lines._difference`."""
-        if self.kind == "l2":
-            square = sum(v * v * (b - a) for a, b, v in runs)
-            return math.sqrt(float(Fraction(square, den * den)))
+        v), the value of ``NormedSpace.norm``: `norm_numerator` over
+        ``norm_denominator * den``.  Bush vectors have ``den = scale``; the
+        distance of two exact points is the norm of their
+        `lines._difference`."""
         return Fraction(self.norm_numerator(runs), self.norm_denominator * den)
 
 
@@ -375,16 +372,8 @@ def _parent_map(bush: Bush) -> list:
     return parents
 
 
-def _l2_outside(runs, den: int, lo, hi=None) -> bool:
-    """Whether the l2 norm of the vector with runs ``(start, stop, v / den)``
-    is < lo or > hi (>= 0; None: no bound), exactly."""
-    square, den2 = sum(v * v * (b - a) for a, b, v in runs), den * den
-    return (lo > 0 and square < lo * lo * den2) or (hi is not None and square > hi * hi * den2)
-
-
-def validate_bush(bush: Bush, tol: Scalar = 0, normalized: bool = True) -> BushValidation:
-    """Check every bush axiom exactly; norm inequalities within the rational
-    tol (on l2 by comparing squares).
+def validate_bush(bush: Bush, *, normalized: bool = True) -> BushValidation:
+    """Check every bush axiom exactly, with no tolerance.
 
     ``normalized=True`` additionally requires unit norms, functional value
     one on every vector, and the derived weight bound
@@ -445,16 +434,11 @@ def validate_bush(bush: Bush, tol: Scalar = 0, normalized: bool = True) -> BushV
                f"exact convexity fails at (parent level, k): {bad_convex[:5]}"
                if bad_convex else "")
 
-    l2 = index.kind == "l2"
     bad_sep = []
-    lo = eps - tol
     for l, refs in enumerate(index.midpoint_refs):
         for j, ref in enumerate(refs):
             d = index.pair_distances[ref]
-            if l2:
-                parent, child = supports[vrefs[l][ref.parent]], supports[vrefs[l + 1][j]]
-                diff = _sweep(_combine((1, parent), (-1, child)))
-            if _l2_outside(diff, index.scale, lo) if l2 else d < lo:
+            if d < eps:
                 bad_sep.append((l + 1, j, float(d)))
     report.add(
         "children_separated_from_parent",
@@ -462,15 +446,12 @@ def validate_bush(bush: Bush, tol: Scalar = 0, normalized: bool = True) -> BushV
         f"||x_child - x_parent|| < epsilon = {eps} at {bad_sep[:5]}" if bad_sep else "",
     )
 
-    # wl1, linf: integer numerators over `unit`, the norm one; l2: floats
+    # integer norm numerators over `unit`, the norm one
     unit = index.norm_denominator * index.scale
-    if l2:
-        norms = [[index.norm(supports[ref], index.scale) for ref in refs] for refs in vrefs]
-    else:
-        norms = [[index.norm_numerator(supports[ref]) for ref in refs] for refs in vrefs]
+    norms = [[index.norm_numerator(supports[ref]) for ref in refs] for refs in vrefs]
 
     def value(x):
-        return x if l2 else float(Fraction(x, unit))
+        return float(Fraction(x, unit))
 
     max_norm = max(x for row in norms for x in row)
     report.add("vectors_bounded", True, f"max norm {value(max_norm)}")
@@ -489,13 +470,11 @@ def validate_bush(bush: Bush, tol: Scalar = 0, normalized: bool = True) -> BushV
             )
 
     if normalized:
-        slack = Fraction(tol) * unit
         off_unit = [
             (n, j, value(x))
             for n, row in enumerate(norms)
             for j, x in enumerate(row)
-            if (_l2_outside(supports[vrefs[n][j]], index.scale, 1 - tol, 1 + tol) if l2
-                else abs(x - unit) > slack)
+            if x != unit
         ]
         report.add("vectors_have_unit_norm", not off_unit,
                    f"non-unit vectors at {off_unit[:5]}" if off_unit else "")
@@ -517,13 +496,7 @@ def validate_bush(bush: Bush, tol: Scalar = 0, normalized: bool = True) -> BushV
                    f"functional != 1 at {off_func[:5]}" if off_func else "")
 
         dual = bush.space.dual_norm(coefficients)
-        report.add(
-            "functional_has_unit_operator_norm",
-            not _l2_outside([(i, i + 1, c) for i, c in enumerate(coefficients)], 1,
-                            1 - tol, 1 + tol) if l2
-            else abs(Fraction(dual) - 1) <= tol,
-            f"dual norm {float(dual)}",
-        )
+        report.add("functional_has_unit_operator_norm", dual == 1, f"dual norm {float(dual)}")
     return report
 
 
@@ -553,9 +526,9 @@ def dyadic_bush(n_levels: int) -> Bush:
     Depth ``n_levels``, ambient dimension 2**n_levels, weights 2**-n_levels
     per coordinate.  x[n][j] equals 2**n on the j-th block of 2**(N-n)
     coordinates and 0 elsewhere, handed to the bush as that one run; every
-    block is a pair with weights 1/2 and epsilon = 1.  Passes validate_bush
-    with tol = 0.  Its (2**(N+1) - 1) vectors would fill the size budget
-    densely up to N = 12, and the budget is checked on that dense size.
+    block is a pair with weights 1/2 and epsilon = 1.  Passes validate_bush.
+    Its (2**(N+1) - 1) vectors would fill the size budget densely up to
+    N = 12, and the budget is checked on that dense size.
     """
     if n_levels < 1:
         raise InputError(f"need n_levels >= 1, got {n_levels}")

@@ -553,15 +553,13 @@ def brute_force_alpha(
     point when their ids are equal (members with a common piece label
     descend once per grid point), and every distance
     (`BushIndex.norm_numerator`) and deviation is an integer numerator over
-    one denominator.  The members
-    refuse unnormalized bushes, so the norm is wl1 or linf (or l2 at depth
-    0, where all members coincide).  A pair's common points form an int
-    bitmask; per g the candidates are tried by decreasing deviation, and the
-    first whose mask contains S is the best.  Only the result becomes a
-    ``Fraction``.  Before any member is evaluated, the predicted work is
-    checked against the size budget: n(n - 1)/2 * K pair entries plus
-    n * sum_{s <= n_max} C(K, s) challenge scans, for n members and K grid
-    points.
+    one denominator.  The members refuse unnormalized bushes.  A pair's
+    common points form an int bitmask; per g the candidates are tried by
+    decreasing deviation, and the first whose mask contains S is the best.
+    Only the result becomes a ``Fraction``.  Before any member is
+    evaluated, the predicted work is checked against the size budget:
+    n(n - 1)/2 * K pair entries plus n * sum_{s <= n_max} C(K, s) challenge
+    scans, for n members and K grid points.
     """
     family = list(family)
     if n_max < 0:

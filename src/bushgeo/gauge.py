@@ -5,40 +5,30 @@ generator coefficients:
 
     gauge(v) = min { ||u|| + sum_j |c_j| : v = u + sum_j c_j b_j }.
 
-For polyhedral base norms (wl1, linf) the minimum is a small linear
-program solved exactly over rationals.  For l2 it is the square-root lasso
-min_c ||v - Bc||_2 + ||c||_1, solved by a numpy primal-dual (Chambolle-Pock)
-iteration and certified by a bracket built exactly: a rational decomposition
-gives the upper bound, and a rational dual vector, whose feasibility is
-checked exactly, gives the lower bound.
+Both base norms (wl1, linf) are polyhedral, so the minimum is a small
+linear program solved exactly over rationals.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InputError, NumericalError
-from .rationals import Scalar, Vec
+from .errors import InputError
+from .rationals import Vec
 from .simplex import solve_lp
 from .spaces import NormedSpace
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_L2_GAP = Fraction(1, 10**9)  # certified bracket width, relative to the gauge
-_L2_CHECK_EVERY = 25  # primal-dual iterations between exact bracket checks
-_L2_BITS = 60  # iterates are rounded to multiples of 2**-_L2_BITS
-_L2_MAX_ITER = 100_000  # about 2 s for d = 8, J = 15 on one core
-
 
 @dataclass
 class GaugeDecomposition:
     """Optimal decomposition v = remainder + sum_j coeffs[j] * generators[j]."""
 
-    value: Scalar
+    value: Fraction
     remainder: Vec
     coeffs: tuple
 
@@ -106,69 +96,6 @@ def _linf_lp(space: NormedSpace, generators, v):
     return GaugeDecomposition(sol.value, u, c)
 
 
-def _l2_primal_dual(space: NormedSpace, generators, v):
-    # Chambolle-Pock on min_c ||v - Bc||_2 + ||c||_1, whose dual is
-    # max <y,v> subject to ||y||_2 <= 1 and |<y,b_j>| <= 1.  Every
-    # _L2_CHECK_EVERY steps the float iterates are rounded to multiples of
-    # 2**-_L2_BITS and the bracket is rebuilt in integers, with `den` clearing
-    # the denominators of v and of the generators: c gives the exact
-    # remainder v - sum_j c_j b_j and the upper bound ||remainder|| + sum |c_j|;
-    # y, scaled into the dual set by an exactly checked factor, gives the
-    # lower bound <y,v>.  numpy is imported here so that only this path loads it.
-    import numpy as np
-
-    den = math.lcm(*(Fraction(x).denominator for x in (*v, *(x for b in generators for x in b))))
-    V = [int(Fraction(x) * den) for x in v]
-    G = [[int(Fraction(x) * den) for x in b] for b in generators]
-    unit = den << _L2_BITS  # remainder numerators count multiples of 1/unit
-
-    def primal(n):
-        # (upper bound as a float, remainder numerators, sum of their squares, sum |n_j|)
-        rem = [(vi << _L2_BITS) - sum(nj * g[i] for nj, g in zip(n, G) if nj) for i, vi in enumerate(V)]
-        sq, l1 = sum(r * r for r in rem), sum(map(abs, n))
-        return math.sqrt(sq / (unit * unit)) + l1 / 2**_L2_BITS, rem, n, sq, l1
-
-    best = primal([0] * len(G))  # c = 0 keeps the value <= ||v||
-    lower = ZERO
-    B = np.array([[float(x) for x in b] for b in generators]).T  # d x J
-    target = np.array([float(x) for x in v])
-    size = np.abs(target).max()  # iterate on v/size; the dual set does not move
-    target /= size
-    step = 0.99 / np.linalg.norm(B, 2)
-    c = c_bar = np.zeros(B.shape[1])
-    y = np.zeros(B.shape[0])
-    for it in range(1, _L2_MAX_ITER + 1):
-        y = y + step * (target - B @ c_bar)
-        y_norm = np.linalg.norm(y)
-        if y_norm > 1:
-            y /= y_norm
-        c_next = c + step * (B.T @ y)
-        c_next = np.sign(c_next) * np.maximum(np.abs(c_next) - step, 0.0)
-        c_bar = 2 * c_next - c
-        c = c_next
-        if it % _L2_CHECK_EVERY:
-            continue
-        best = min(best, primal([round(x * 2.0**_L2_BITS) for x in (c * size).tolist()]), key=lambda p: p[0])
-        m = [round(x * 2.0**_L2_BITS) for x in y.tolist()]
-        q = den * den * sum(x * x for x in m)
-        scale = math.isqrt(q)
-        scale += scale * scale < q  # den * ||m||_2 <= scale, exactly
-        scale = max([scale] + [abs(sum(x * gi for x, gi in zip(m, g))) for g in G])
-        if scale:
-            lower = max(lower, Fraction(sum(x * vi for x, vi in zip(m, V)), scale))
-        # certified gap: ||remainder||_2 <= (1 + tol) lower - sum |c_j|, squared in integers
-        _, rem, n, sq, l1 = best
-        slack = ((1 + _L2_GAP) * lower - Fraction(l1, 2**_L2_BITS)) * unit
-        if slack >= 0 and sq <= slack * slack:
-            remainder = tuple(Fraction(r, unit) for r in rem)
-            coeffs = tuple(Fraction(nj, 2**_L2_BITS) for nj in n)
-            return GaugeDecomposition(space.norm(remainder) + sum(map(abs, coeffs)), remainder, coeffs)
-    raise NumericalError(
-        f"l2 gauge bracket did not close in {_L2_MAX_ITER} iterations: "
-        f"lower bound {float(lower)!r}, upper bound {best[0]!r}"
-    )
-
-
 def gauge_decompose(space: NormedSpace, generators: Sequence[Vec], v: Vec) -> GaugeDecomposition:
     """Gauge value together with an optimal decomposition (for certification)."""
     space.check_vector(v)
@@ -177,19 +104,13 @@ def gauge_decompose(space: NormedSpace, generators: Sequence[Vec], v: Vec) -> Ga
         return GaugeDecomposition(ZERO, tuple(ZERO for _ in v), (ZERO,) * len(generators))
     if space.kind == "wl1":
         return _wl1_lp(space, generators, v)
-    if space.kind == "linf":
-        return _linf_lp(space, generators, v)
-    return _l2_primal_dual(space, generators, v)
+    return _linf_lp(space, generators, v)
 
 
-def gauge_renorm(space: NormedSpace, generators: Sequence[Vec], v: Vec) -> Scalar:
-    """Gauge of v w.r.t. conv(unit ball ∪ {±b : b in generators}).
-
-    Exact Fraction for wl1/linf base norms.  For l2 a float: the cost of an
-    exact rational decomposition, certified by an exactly checked dual bound
-    to lie within a relative gap of 1e-9 of the gauge (NumericalError, naming
-    both bounds, if the bracket does not close).  Always <= space.norm(v);
-    equals 1 on every generator that has base norm >= 1 and value 1 under a
-    norm-one functional valued 1 on all generators.
+def gauge_renorm(space: NormedSpace, generators: Sequence[Vec], v: Vec) -> Fraction:
+    """Gauge of v w.r.t. conv(unit ball ∪ {±b : b in generators}), an exact
+    Fraction.  Always <= space.norm(v); equals 1 on every generator that has
+    base norm >= 1 and value 1 under a norm-one functional valued 1 on all
+    generators.
     """
     return gauge_decompose(space, generators, v).value

@@ -147,9 +147,8 @@ class BrokenLine:
 
 
 def ensure_normalized(bush: Bush):
-    """Refuse a bush failing `validate_bush` at tol 0, naming the failing
-    checks every time (cached per bush).  No l2 bush of depth >= 1 passes:
-    l2 is strictly convex, so distinct unit children average to a non-unit."""
+    """Refuse a bush failing `validate_bush`, naming the failing checks
+    every time (cached per bush)."""
     index = bush._index
     failed = index.failed_checks
     if failed is None:

@@ -1,16 +1,20 @@
 """Finite-dimensional normed spaces and norming functionals.
 
-Three norm kinds are supported:
+Two norm kinds are supported, both polyhedral and exact on rational input:
 
 * ``wl1``  -- weighted l1, ||v|| = sum_i w_i |v_i| with positive rational
-  weights (the discretized integral norm); exact on rational input.
-* ``linf`` -- max_i |v_i|; exact on rational input.
-* ``l2``   -- Euclidean; evaluated in floating point.
+  weights (the discretized integral norm);
+* ``linf`` -- max_i |v_i|.
+
+These are the spaces the paper's thick families live in.  A strictly
+convex norm, such as the Euclidean one, has the Radon-Nikodym property and
+holds no thick family: distinct unit children never average to a unit
+parent.
 
 A ``Functional`` is a coordinate functional v -> sum_i f_i v_i.  Its
 operator norm with respect to each norm kind has a closed dual formula
-(wl1 -> max |f_i|/w_i, linf -> sum |f_i|, l2 -> l2), used to check that a
-supplied norming functional really has norm one.
+(wl1 -> max |f_i|/w_i, linf -> sum |f_i|), used to check that a supplied
+norming functional really has norm one.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DimensionMismatch, InputError
-from .rationals import Scalar, Vec, to_fraction, vdot
+from .rationals import Vec, to_fraction, vdot
 
-NORM_KINDS = ("wl1", "linf", "l2")
+NORM_KINDS = ("wl1", "linf")
 
 
 @dataclass(frozen=True)
@@ -50,19 +54,17 @@ class NormedSpace:
         if len(v) != self.dimension:
             raise DimensionMismatch(self.dimension, len(v), what)
 
-    def norm(self, v: Vec) -> Scalar:
-        """Norm of ``v``; exact Fraction for wl1/linf, float for l2."""
+    def norm(self, v: Vec) -> Fraction:
+        """Norm of ``v``, an exact Fraction."""
         self.check_vector(v)
         if self.kind == "wl1":
             return sum((w * abs(x) for w, x in zip(self.weights, v)), Fraction(0))
-        if self.kind == "linf":
-            return max((abs(Fraction(x)) for x in v), default=Fraction(0))
-        return math.sqrt(float(sum(Fraction(x) * Fraction(x) for x in v)))
+        return max((abs(Fraction(x)) for x in v), default=Fraction(0))
 
-    def dist(self, u: Vec, v: Vec) -> Scalar:
+    def dist(self, u: Vec, v: Vec) -> Fraction:
         return self.norm(tuple(a - b for a, b in zip(u, v)))
 
-    def dual_norm(self, coefficients: Vec) -> Scalar:
+    def dual_norm(self, coefficients: Vec) -> Fraction:
         """Operator norm of the coordinate functional with these coefficients."""
         self.check_vector(coefficients, "functional")
         fs = list(map(to_fraction, coefficients))
@@ -74,10 +76,8 @@ class NormedSpace:
                 if n * den > num * d:
                     num, den = n, d
             return Fraction(num, den)
-        if self.kind == "linf":
-            den = math.lcm(*(f.denominator for f in fs))
-            return Fraction(sum(abs(f.numerator) * (den // f.denominator) for f in fs), den)
-        return math.sqrt(float(sum(f * f for f in fs)))
+        den = math.lcm(*(f.denominator for f in fs))
+        return Fraction(sum(abs(f.numerator) * (den // f.denominator) for f in fs), den)
 
 
 @dataclass(frozen=True)

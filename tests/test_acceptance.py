@@ -123,7 +123,7 @@ def test_criterion_3_geodesic_property_exact():
 
 def test_criterion_4_lambda_max_bound():
     bush = dyadic_bush(4)
-    report = validate_bush(bush, tol=0)
+    report = validate_bush(bush)
     assert report.passed
     lam = lambda_max(bush)
     assert lam == F(1, 2) == 1 - bush.epsilon / 2  # tight
@@ -131,7 +131,7 @@ def test_criterion_4_lambda_max_bound():
         rb = random_bush(
             seed, depth=2 + seed % 2, extra_atoms=seed % 5, tight_epsilon=seed % 2 == 0
         )
-        rep = validate_bush(rb, tol=0)
+        rep = validate_bush(rb)
         assert rep.passed, (seed, [c.name for c in rep.checks if not c.passed])
         assert lambda_max(rb) <= 1 - rb.epsilon / 2, seed
     _report(4, "dyadic bush tight at lambda_max = 1/2 = 1 - eps/2; 20 randomized "

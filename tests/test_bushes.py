@@ -57,7 +57,7 @@ def test_dyadic_depth2_convexity_example():
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_dyadic_validates_exactly(n):
-    report = validate_bush(dyadic_bush(n), tol=0, normalized=True)
+    report = validate_bush(dyadic_bush(n), normalized=True)
     assert report.passed, [c.name for c in report.checks if not c.passed]
     assert not report.warnings
 
@@ -85,7 +85,7 @@ def _ternary_bush():
 
 def test_ternary_lambda_max():
     bush = _ternary_bush()
-    assert validate_bush(bush, tol=0).passed
+    assert validate_bush(bush).passed
     assert lambda_max(bush) == F(1, 3)
     assert lambda_max(bush) == 1 - bush.epsilon / 2  # 1/3 = 1 - 2/3
 
@@ -105,11 +105,11 @@ def _two_atom_bush(epsilon):
 
 def test_lambda_max_bound_tight_iff_epsilon_small():
     ok = _two_atom_bush(F(1, 2))
-    report = validate_bush(ok, tol=0)
+    report = validate_bush(ok)
     assert lambda_max(ok) == F(3, 4)
     assert report.passed
     bad = _two_atom_bush(F(3, 5))
-    report = validate_bush(bad, tol=0)
+    report = validate_bush(bad)
     by_name = {c.name: c.passed for c in report.checks}
     assert not by_name["weight_bound_lambda_max"]  # 3/4 > 1 - 3/10
     assert not report.passed
@@ -117,7 +117,7 @@ def test_lambda_max_bound_tight_iff_epsilon_small():
 
 def test_raw_mode_warns_instead_of_failing_weight_bound():
     bad = _two_atom_bush(F(3, 5))
-    report = validate_bush(bad, tol=0, normalized=False)
+    report = validate_bush(bad, normalized=False)
     by_name = {c.name: c.passed for c in report.checks}
     assert "weight_bound_lambda_max" not in by_name
     assert any("lambda_max" in w for w in report.warnings)
@@ -135,7 +135,7 @@ def test_singleton_block_fails():
         epsilon=F(1),
         functional=Functional((F(1, 2), F(1, 2))),
     )
-    report = validate_bush(bush, tol=0)
+    report = validate_bush(bush)
     by_name = {c.name: c.passed for c in report.checks}
     assert not by_name["blocks_have_two_or_more_children"]
     assert not by_name["children_separated_from_parent"]  # child == parent
@@ -147,7 +147,7 @@ def test_perturbed_weights_break_convexity():
     weights = [list(lev) for lev in bush.weights]
     weights[0][0], weights[0][1] = F(3, 5), F(2, 5)
     perturbed = replace(bush, weights=tuple(tuple(lev) for lev in weights))
-    report = validate_bush(perturbed, tol=0)
+    report = validate_bush(perturbed)
     by_name = {c.name: c.passed for c in report.checks}
     assert by_name["block_weights_sum_to_one"]
     assert not by_name["children_average_to_parent"]
@@ -177,8 +177,8 @@ def test_shift_bush():
     back = shift_bush(shifted, (-1, -1))
     assert back.levels == bush.levels
     # raw axioms survive the shift, normalization does not
-    assert validate_bush(shifted, tol=0, normalized=False).passed
-    assert not validate_bush(shifted, tol=0, normalized=True).passed
+    assert validate_bush(shifted, normalized=False).passed
+    assert not validate_bush(shifted, normalized=True).passed
 
 
 def test_midpoint_examples():
@@ -210,7 +210,7 @@ def test_midpoint_equidistance_property():
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_random_bush_validates(seed):
     bush = random_bush(seed, depth=3, extra_atoms=5, tight_epsilon=seed % 2 == 0)
-    report = validate_bush(bush, tol=0, normalized=True)
+    report = validate_bush(bush, normalized=True)
     assert report.passed, [c.name for c in report.checks if not c.passed]
     assert lambda_max(bush) <= 1 - bush.epsilon / 2
 
@@ -270,22 +270,3 @@ def test_structural_errors_on_construction():
         Bush(space, (((1, 1),),), (((0, 1),),), (), F(1), Functional((F(1, 2), F(1, 2))))
     with pytest.raises(InputError):
         Bush(space, (((1, 1),),), (), (), F(0), Functional((F(1, 2), F(1, 2))))
-
-
-def test_l2_unit_norm_is_checked_on_squares():
-    # the float sqrt(1 + 1e-18) rounds to 1.0; the exact check compares
-    # the squared norm with 1, and the detail keeps its float text
-    delta = F(1, 10**9)
-    bush = Bush(
-        space=NormedSpace(2, "l2"),
-        levels=(((1, 0),), ((1, delta), (1, -delta))),
-        partitions=(((0, 1),),),
-        weights=((F(1, 2), F(1, 2)),),
-        epsilon=delta,
-        functional=Functional((1, 0)),
-    )
-    checks = {c.name: c for c in validate_bush(bush, tol=0).checks}
-    assert [name for name, c in checks.items() if not c.passed] == ["vectors_have_unit_norm"]
-    assert checks["vectors_have_unit_norm"].detail == (
-        "non-unit vectors at [(1, 0, 1.0), (1, 1, 1.0)]"
-    )

@@ -134,9 +134,16 @@ def test_challenge_and_witness_validate(bush_file, tmp_path, capsys):
     assert report["passed"] is False
 
 
-def test_witness_validate_takes_no_tolerance(capsys):
-    # its verdicts are exact, so there is no tolerance to set
-    argv = ["witness-validate", "b.json", "--challenge", "c.json", "--response", "r.json"]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["witness-validate", "b.json", "--challenge", "c.json", "--response", "r.json"],
+                     id="witness-validate"),
+        pytest.param(["bush-validate", "b.json"], id="bush-validate"),
+    ],
+)
+def test_validators_take_no_tolerance(capsys, argv):
+    # their verdicts are exact, so there is no tolerance to set
     with pytest.raises(SystemExit) as exited:
         main(argv + ["--tolerance", "1e-9"])
     assert exited.value.code == 2
@@ -242,35 +249,39 @@ def test_input_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, mutate",
+    "argv, mutate, detail",
     [
         pytest.param(["witness-validate", "{bush}", "--challenge", "{challenge}",
-                      "--response", "{response}"], lambda d: d["response"].pop("geodesic"),
+                      "--response", "{response}"], lambda d: d["response"].pop("geodesic"), "",
                      id="response-without-geodesic"),
         pytest.param(["challenge", "{bush}", "--challenge", "{challenge}"],
-                     lambda d: d["challenge"]["geodesic"]["pieces"][0].update(depth="x"),
+                     lambda d: d["challenge"]["geodesic"]["pieces"][0].update(depth="x"), "",
                      id="piece-depth-x"),
         pytest.param(["bush-validate", "{bush}"],
-                     lambda d: d["bush"]["partitions"][0][0].insert(0, "a"),
+                     lambda d: d["bush"]["partitions"][0][0].insert(0, "a"), "",
                      id="partitions-hold-a"),
-        pytest.param(["bush-validate", "{bush}"], lambda d: d["bush"].update(levels=5),
+        pytest.param(["bush-validate", "{bush}"], lambda d: d["bush"].update(levels=5), "",
                      id="levels-is-5"),
+        # a Euclidean bush holds no thick family; only the exact kinds load
+        pytest.param(["bush-validate", "{bush}"],
+                     lambda d: d["bush"]["space"].update(norm="l2", weights=None),
+                     "('wl1', 'linf')", id="norm-l2"),
         pytest.param(["deviation-report", "{bush}", "--label", "0", "--selection", "a"],
-                     None, id="selection-a"),
+                     None, "", id="selection-a"),
         pytest.param(["export", "{bush}", "--geodesic", "{geodesic}", "--samples", "0",
-                      "--out", "{out}"], None, id="samples-0"),
+                      "--out", "{out}"], None, "", id="samples-0"),
         pytest.param(["bush-gen", "--random", "3", "--extra-atoms", "-1", "-o", "{out}"],
-                     None, id="extra-atoms-negative"),
+                     None, "", id="extra-atoms-negative"),
         # {out} does not exist, so nothing can be written below it
-        pytest.param(["bush-gen", "--dyadic", "2", "-o", "{out}/b.json"], None,
+        pytest.param(["bush-gen", "--dyadic", "2", "-o", "{out}/b.json"], None, "",
                      id="bush-gen-into-missing-dir"),
-        pytest.param(["line-build", "{bush}", "--label", "0", "--export", "{out}/l.tsv"], None,
+        pytest.param(["line-build", "{bush}", "--label", "0", "--export", "{out}/l.tsv"], None, "",
                      id="line-export-into-missing-dir"),
-        pytest.param(["export", "{bush}", "--label", "0", "--out", "{out}/l.tsv"], None,
+        pytest.param(["export", "{bush}", "--label", "0", "--out", "{out}/l.tsv"], None, "",
                      id="export-into-missing-dir"),
     ],
 )
-def test_malformed_input_is_an_input_error(tmp_path, capsys, argv, mutate):
+def test_malformed_input_is_an_input_error(tmp_path, capsys, argv, mutate, detail):
     bush = dyadic_bush(3)
     geo = branch_geodesic(bush, (0, 1))
     resp = challenge_respond(bush, geo, [F(1, 3)])
@@ -287,7 +298,9 @@ def test_malformed_input_is_an_input_error(tmp_path, capsys, argv, mutate):
         files[name] = str(tmp_path / f"{name}.json")
         dump_json(doc, files[name])
     assert main([arg.format(**files) for arg in argv]) == 2
-    assert capsys.readouterr().err.startswith("input error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert detail in err
 
 
 def test_budget_error_exit_code(tmp_path, capsys):

@@ -43,7 +43,7 @@ def raw_bushes(draw):
     """A base bush carrying a drawn space (a raw bush: norms not checked)."""
     base = BASES[draw(st.sampled_from(sorted(BASES)))]()
     dim = base.space.dimension
-    kind = draw(st.sampled_from(("wl1", "linf", "l2")))
+    kind = draw(st.sampled_from(("wl1", "linf")))
     weights = None
     if kind == "wl1":
         weight = st.fractions(min_value=F(1, 12), max_value=50, max_denominator=12)

@@ -620,7 +620,7 @@ def _sup_norm_bush():
 
 def test_sup_norm_bush_end_to_end():
     bush = _sup_norm_bush()
-    report = validate_bush(bush, tol=0)
+    report = validate_bush(bush)
     assert report.passed, [c.name for c in report.checks if not c.passed]
     assert lambda_max(bush) == F(1, 2) == 1 - bush.epsilon / 2
     # deviation and the full game work over the sup norm too

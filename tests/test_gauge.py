@@ -1,13 +1,11 @@
-import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog, minimize_scalar
+from scipy.optimize import linprog
 
-from bushgeo import InputError, NormedSpace, NumericalError, dyadic_bush, gauge_decompose, gauge_renorm
-from bushgeo import gauge as gauge_module
+from bushgeo import InputError, NormedSpace, dyadic_bush, gauge_decompose, gauge_renorm
 
 F = Fraction
 
@@ -129,55 +127,6 @@ def test_gauge_properties_sampled():
         assert gauge_renorm(bush.space, gens, tuple(c * x for x in u)) == c * gu
         assert gauge_renorm(bush.space, gens, tuple(-x for x in u)) == gu
         assert gauge_renorm(bush.space, gens, tuple(a + b for a, b in zip(u, v))) <= gu + gv
-
-
-def test_l2_gauge_known_values():
-    space = NormedSpace(2, "l2")
-    gens = [(2, 0)]
-    assert gauge_renorm(space, gens, (2, 0)) == pytest.approx(1.0, abs=1e-6)
-    assert gauge_renorm(space, gens, (1, 0)) == pytest.approx(0.5, abs=1e-6)
-    assert gauge_renorm(space, gens, (0, 1)) == pytest.approx(1.0, abs=1e-6)
-    # 1-D oracle: gauge((1,1)) = min_c sqrt((1-2c)^2 + 1) + |c| = (1 + sqrt(3))/2
-    oracle = minimize_scalar(
-        lambda c: math.hypot(1 - 2 * c, 1.0) + abs(c), bounds=(0, 1), method="bounded"
-    )
-    assert oracle.fun == pytest.approx((1 + math.sqrt(3)) / 2, abs=1e-7)
-    assert gauge_renorm(space, gens, (1, 1)) == pytest.approx(oracle.fun, abs=1e-6)
-
-
-def test_l2_gauge_dyadic_like_bush():
-    # same bush combinatorics, Euclidean base norm
-    space = NormedSpace(2, "l2")
-    gens = [(1, 1), (2, 0), (0, 2)]
-    for g in gens:
-        base = space.norm(g)
-        assert base >= 1
-        assert gauge_renorm(space, gens, g) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_l2_decomposition_certificate():
-    rng = random.Random(5)
-    space = NormedSpace(2, "l2")
-    gens = [(1, 1), (2, 0), (0, 2)]
-    for _ in range(8):
-        v = tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(2))
-        dec = gauge_decompose(space, gens, v)
-        assert type(dec.value) is float
-        assert all(type(x) is F for x in dec.remainder + dec.coeffs)
-        recombined = list(dec.remainder)
-        for c, b in zip(dec.coeffs, gens):
-            recombined = [r + c * x for r, x in zip(recombined, b)]
-        assert tuple(recombined) == v
-        assert space.norm(dec.remainder) + sum(abs(c) for c in dec.coeffs) == dec.value
-        assert dec.value <= space.norm(v)
-
-
-def test_l2_gauge_refuses_an_open_bracket(monkeypatch):
-    # too few iterations to close the bracket: an error naming both bounds, no value
-    monkeypatch.setattr(gauge_module, "_L2_MAX_ITER", gauge_module._L2_CHECK_EVERY)
-    space = NormedSpace(2, "l2")
-    with pytest.raises(NumericalError, match="lower bound .* upper bound"):
-        gauge_renorm(space, [(1, 1), (2, 0), (0, 2)], (F(3, 2), F(-7, 3)))
 
 
 def test_gauge_input_errors():

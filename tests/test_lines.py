@@ -278,7 +278,7 @@ def test_zero_weight_children_are_skipped():
         epsilon=F(2, 3),
         functional=Functional((F(1, 3),) * 3),
     )
-    assert validate_bush(bush, tol=0).passed
+    assert validate_bush(bush).passed
     line = line_for_label(bush, (0,))
     assert all(t.coeff > 0 for t in line.terms)
     assert sum(t.coeff for t in line.terms) == 1
@@ -351,7 +351,7 @@ def test_bush_and_its_lines_are_freed_together():
     line.eval_batch([F(1, 3), F(5, 8)])
     intermediate_for_label(bush, (1,))
     sibling_deviation(bush, (0,))
-    validate_bush(bush, tol=0)
+    validate_bush(bush)
     ref = weakref.ref(bush)
     del bush, line
     gc.collect()

@@ -10,9 +10,10 @@ The golden file holds ``brute_force_alpha(...).as_dict()`` on:
 - the four branches plus two gap-switch pastings of the sup-norm bush of
   ``test_families._sup_norm_bush`` (linf).
 
-No Euclidean bush of depth >= 1 is normalized, so the oracle refuses one
-(`test_oracle_refuses_a_nearly_flat_l2_bush`); a depth-0 one gives 0
-(`test_oracle_on_a_depth_0_l2_bush`).
+The oracle refuses a bush whose children miss the unit sphere by a hair
+(`test_oracle_refuses_a_nearly_flat_bush`), and on a depth-0 bush, where
+every geodesic is the segment to the root, it gives 0
+(`test_oracle_on_a_depth_0_bush`).
 
 It was recorded with the ``Fraction``/``frozenset`` search that
 `reference_alpha` keeps below, and a ``hypothesis`` property compares the
@@ -72,11 +73,11 @@ def _sup_norm_family():
     return bush, family, line_for_label(bush, (0, 1)).arclengths
 
 
-def _nearly_flat_l2_bush():
-    # the children's norms exceed 1 by about 2e-10
+def _nearly_flat_bush():
+    # the children's norms exceed 1 by delta = 2e-5
     delta = Fraction(2, 10**5)
     return Bush(
-        space=NormedSpace(2, "l2"),
+        space=NormedSpace(2, "wl1", (1, 1)),
         levels=(((1, 0),), ((1, delta), (1, -delta))),
         partitions=(((0, 1),),),
         weights=((Fraction(1, 2), Fraction(1, 2)),),
@@ -177,20 +178,20 @@ def test_oracle_matches_golden(golden):
         assert report == golden[key], key
 
 
-def test_oracle_refuses_a_nearly_flat_l2_bush():
+def test_oracle_refuses_a_nearly_flat_bush():
     # its members, built unchecked, are refused when the oracle evaluates them
-    bush = _nearly_flat_l2_bush()
+    bush = _nearly_flat_bush()
     family = [PastedGeodesic(bush, (0, 1), (BranchSpec((bit,), 1),)) for bit in (0, 1)]
     with pytest.raises(InputError, match="vectors_have_unit_norm"):
         brute_force_alpha(bush, family, 1, [0, Fraction(1, 4), Fraction(1, 2), 1])
 
 
-def test_oracle_on_a_depth_0_l2_bush():
-    # the one Euclidean bush that is normalized: all its geodesics are the
-    # segment to the root, so every distance and the bound are 0
-    root = (Fraction(3, 5), Fraction(4, 5))
-    bush = Bush(space=NormedSpace(2, "l2"), levels=((root,),), partitions=(), weights=(),
-                epsilon=Fraction(1, 2), functional=Functional(root))
+def test_oracle_on_a_depth_0_bush():
+    # all its geodesics are the segment to the root, so every distance and
+    # the bound are 0
+    root = (Fraction(3, 5), Fraction(2, 5))
+    bush = Bush(space=NormedSpace(2, "wl1", (1, 1)), levels=((root,),), partitions=(),
+                weights=(), epsilon=Fraction(1, 2), functional=Functional((1, 1)))
     family = [branch_geodesic(bush, ()) for _ in range(2)]
     for n_max, n_challenges in enumerate((2, 10, 22)):
         report = brute_force_alpha(bush, family, n_max, [0, Fraction(1, 4), Fraction(1, 2), 1])

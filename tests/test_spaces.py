@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -44,6 +43,9 @@ def test_bad_space_descriptors():
         NormedSpace(0, "wl1", (F(1),))
     with pytest.raises(InputError):
         NormedSpace(2, "l3")
+    # Euclidean norms hold no thick family; only the exact kinds are accepted
+    with pytest.raises(InputError, match="'wl1', 'linf'"):
+        NormedSpace(2, "l2")
     with pytest.raises(InputError):
         NormedSpace(2, "wl1", (F(1),))  # wrong weight count
     with pytest.raises(InputError):
@@ -54,13 +56,12 @@ def _random_vec(rng, dim):
     return tuple(F(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(dim))
 
 
-@pytest.mark.parametrize("kind", ["wl1", "linf", "l2"])
+@pytest.mark.parametrize("kind", ["wl1", "linf"])
 def test_norm_axioms_sampled(kind):
     rng = random.Random(1234)
     dim = 5
     weights = tuple(F(rng.randint(1, 9), 4) for _ in range(dim)) if kind == "wl1" else None
     space = NormedSpace(dim, kind, weights)
-    exact = kind in ("wl1", "linf")
     assert space.norm((0,) * dim) == 0
     for _ in range(60):
         u, v = _random_vec(rng, dim), _random_vec(rng, dim)
@@ -68,12 +69,8 @@ def test_norm_axioms_sampled(kind):
         nu, nv = space.norm(u), space.norm(v)
         if any(u):
             assert nu > 0
-        if exact:
-            assert space.norm(tuple(c * x for x in u)) == abs(c) * nu
-            assert space.norm(tuple(a + b for a, b in zip(u, v))) <= nu + nv
-        else:
-            assert space.norm(tuple(c * x for x in u)) == pytest.approx(abs(c) * nu, abs=1e-9)
-            assert space.norm(tuple(a + b for a, b in zip(u, v))) <= nu + nv + 1e-9
+        assert space.norm(tuple(c * x for x in u)) == abs(c) * nu
+        assert space.norm(tuple(a + b for a, b in zip(u, v))) <= nu + nv
 
 
 def test_wl1_matches_oracle_sampled():
@@ -85,11 +82,9 @@ def test_wl1_matches_oracle_sampled():
         assert space.norm(v) == wl1_oracle(weights, v)
 
 
-def test_linf_and_l2_values():
+def test_linf_values():
     linf = NormedSpace(3, "linf")
     assert linf.norm((F(1, 2), -2, F(3, 2))) == 2
-    l2 = NormedSpace(2, "l2")
-    assert l2.norm((3, 4)) == pytest.approx(5.0)
 
 
 @pytest.mark.parametrize(
@@ -105,7 +100,7 @@ def test_dual_norm_formulas(kind, weights, f, expected):
     assert space.dual_norm(f) == expected
 
 
-@pytest.mark.parametrize("kind", ["wl1", "linf", "l2"])
+@pytest.mark.parametrize("kind", ["wl1", "linf"])
 def test_functional_bound_by_dual_norm(kind):
     # |f(v)| <= ||f||_* ||v|| on samples certifies the dual formulas
     rng = random.Random(5)
@@ -116,10 +111,4 @@ def test_functional_bound_by_dual_norm(kind):
     dual = space.dual_norm(f.coefficients)
     for _ in range(50):
         v = _random_vec(rng, dim)
-        assert abs(float(f(v))) <= float(dual) * float(space.norm(v)) + 1e-9
-
-
-def test_l2_dual_is_l2():
-    space = NormedSpace(2, "l2")
-    assert space.dual_norm((3, 4)) == pytest.approx(5.0)
-    assert math.isclose(space.dual_norm((1, 0)), 1.0)
+        assert abs(f(v)) <= dual * space.norm(v)

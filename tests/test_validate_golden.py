@@ -1,6 +1,6 @@
 """validate_bush reports compared against a recorded golden file.
 
-The golden file holds ``validate_bush(bush, tol, normalized).as_dict()``
+The golden file holds ``validate_bush(bush, normalized=...).as_dict()``
 for every case below, recorded from the dense-Fraction implementation of
 the checks.  Any change to check names, order, flags, detail strings or
 warnings shows up here.  Regenerate (only when a report change is
@@ -20,7 +20,7 @@ from bushgeo import Functional, NormedSpace, dyadic_bush, random_bush, shift_bus
 
 GOLDEN = Path(__file__).parent / "data" / "validate_golden.json"
 
-MODES = ((0, True), (0, False), (F(1e-9), True), (F(1e-9), False))
+MODES = (True, False)  # normalized, raw
 
 
 def _shifted_random():
@@ -49,18 +49,6 @@ def _empty_block():
 
 def _in_space(bush, kind):
     return replace(bush, space=NormedSpace(bush.space.dimension, kind))
-
-
-def _l2_unit_bush():
-    # unit vectors of R^2 with rational coordinates (Pythagorean triples)
-    return replace(
-        dyadic_bush(1),
-        space=NormedSpace(2, "l2"),
-        levels=(((F(4, 5), F(3, 5)),), ((F(1), F(0)), (F(3, 5), F(6, 5)))),
-        weights=((F(1, 2), F(1, 2)),),
-        epsilon=F(1, 2),
-        functional=Functional((F(4, 5), F(3, 5))),
-    )
 
 
 def _linf_bush():
@@ -95,24 +83,21 @@ def cases():
         ("negative_weight", _negative_weight, MODES),
         ("empty_block", _empty_block, MODES),
         ("dyadic_3_linf", lambda: _in_space(dyadic_bush(3), "linf"), MODES),
-        ("dyadic_3_l2", lambda: _in_space(dyadic_bush(3), "l2"), MODES),
-        ("random_4_l2", lambda: _in_space(random_bush(4, depth=2, extra_atoms=3), "l2"), MODES),
-        ("l2_unit", _l2_unit_bush, MODES),
         ("linf_unit", _linf_bush, MODES),
     ]
     return out
 
 
-def _key(name, tol, normalized):
-    return f"{name}|tol={float(tol)}|{'normalized' if normalized else 'raw'}"
+def _key(name, normalized):
+    return f"{name}|{'normalized' if normalized else 'raw'}"
 
 
 def reports():
     out = {}
     for name, factory, modes in cases():
         bush = factory()
-        for tol, normalized in modes:
-            out[_key(name, tol, normalized)] = validate_bush(bush, tol, normalized).as_dict()
+        for normalized in modes:
+            out[_key(name, normalized)] = validate_bush(bush, normalized=normalized).as_dict()
     return out
 
 
@@ -124,13 +109,13 @@ def golden():
 @pytest.mark.parametrize("name,factory,modes", cases(), ids=[c[0] for c in cases()])
 def test_validate_matches_golden(golden, name, factory, modes):
     bush = factory()
-    for tol, normalized in modes:
-        key = _key(name, tol, normalized)
-        assert validate_bush(bush, tol, normalized).as_dict() == golden[key], key
+    for normalized in modes:
+        key = _key(name, normalized)
+        assert validate_bush(bush, normalized=normalized).as_dict() == golden[key], key
 
 
 def test_golden_covers_every_case(golden):
-    keys = {_key(name, tol, normalized) for name, _, modes in cases() for tol, normalized in modes}
+    keys = {_key(name, normalized) for name, _, modes in cases() for normalized in modes}
     assert keys == set(golden)
 
 
