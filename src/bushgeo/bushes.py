@@ -315,18 +315,18 @@ class BushIndex:
         return Fraction(self.norm_numerator(runs), self.norm_denominator * den)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
 @dataclass
-class BushValidation:
+class _Checks:
+    """A report's named checks; it passes when every check does.  The bush
+    validation and the witness validation both report this way."""
+
     checks: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
-    normalized: bool = True
 
     @property
     def passed(self) -> bool:
@@ -335,13 +335,17 @@ class BushValidation:
     def add(self, name: str, passed: bool, detail: str = ""):
         self.checks.append(CheckResult(name, bool(passed), detail))
 
+
+@dataclass
+class BushValidation(_Checks):
+    warnings: list = field(default_factory=list)
+    normalized: bool = True
+
     def as_dict(self) -> dict:
         return {
             "passed": self.passed,
             "normalized_mode": self.normalized,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail} for c in self.checks
-            ],
+            "checks": [c._asdict() for c in self.checks],
             "warnings": list(self.warnings),
         }
 

@@ -55,4 +55,5 @@ def check_budget(what: str, required: int) -> None:
 
 
 class NumericalError(BushgeoError):
-    """A numerical routine failed to converge within its iteration budget."""
+    """The exact simplex failed: its LP is infeasible (``LPInfeasible``) or
+    unbounded (``LPUnbounded``), or it passed its pivot guard."""

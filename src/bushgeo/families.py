@@ -23,9 +23,12 @@ throughout.
 and challenge arclengths t_i, it covers the t_i by vertex-aligned
 subintervals of total length at most half of each piece, switches to the
 sibling branch on the complement, and emits a witness whose deviation
-total is at least epsilon/4.  ``validate_witness`` re-checks every claim
-against the two geodesics; ``brute_force_alpha`` is the independent
-exhaustive oracle for tiny families on a fixed arclength grid.
+total is at least epsilon/4.  It builds q and s in one pass in arclength
+order, reading each complement's gaps and their deviations from
+`lines._gap_deviations`, the one reader of that formula.
+``validate_witness`` re-checks every claim against the two geodesics;
+``brute_force_alpha`` is the independent exhaustive oracle for tiny
+families on a fixed arclength grid.
 """
 
 from __future__ import annotations
@@ -33,16 +36,17 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .bushes import Bush, _sweep
+from .bushes import Bush, _Checks, _sweep
 from .errors import BudgetError, InputError, PastingError, check_budget
-from .lines import (_canonical, _check_label, _descend, _difference, _fractions, _on_vertex,
-                    _point, _term_count, format_label, intermediate_for_label, line_for_label)
+from .lines import (_canonical, _check_label, _descend, _difference, _fractions, _gap_deviations,
+                    _on_vertex, _point, _term_count, format_label, intermediate_for_label,
+                    line_for_label)
 from .rationals import to_fraction
 
 ZERO = Fraction(0)
@@ -101,10 +105,6 @@ class PastedGeodesic:
     breakpoints: tuple
     pieces: tuple
 
-    @property
-    def n_pieces(self) -> int:
-        return len(self.pieces)
-
     @cached_property
     def _scaled_breakpoints(self) -> tuple:
         """The breakpoints as integers over their least common denominator."""
@@ -139,11 +139,6 @@ class PastedGeodesic:
         if len(labels) == 1:
             return labels * len(points)
         return [labels[self.piece_index(s)] for s in points]
-
-    def deepened(self, depth: int) -> "PastedGeodesic":
-        return PastedGeodesic(
-            self.bush, self.breakpoints, tuple(p.deepened(depth) for p in self.pieces)
-        )
 
 
 def paste(bush: Bush, breakpoints: Sequence, pieces: Sequence[BranchSpec]) -> PastedGeodesic:
@@ -317,10 +312,15 @@ def challenge_respond(
     Per piece [h_{d-1}, h_d]: find the smallest refinement depth L whose
     vertex gaps cover the interior challenge points with total length at
     most half the piece, copy g on the covering intervals, and follow the
-    branch with bit L+1 flipped elsewhere.  The witness's s-points sit at
-    the midpoints of the intermediate-line gaps inside the complement,
-    where the two geodesics are (gap/2)*||x_parent - x_child|| apart; the
-    deviation total is at least epsilon/4.
+    branch with bit L+1 flipped elsewhere.  The witness is built in one
+    ordered pass over these segments: a cover adds the challenge points
+    inside it and its end to q, each new slot's s on its left q; a
+    complement adds the end of each gap of the level-L intermediate line
+    to q and the gap's midpoint to s, where the two geodesics are
+    (gap/2)*||x_parent - x_child|| apart.  A challenge point outside every
+    cover is a level-L vertex, so a gap end: consecutive q's inside a
+    complement are one gap's ends.  The deviation total is at least
+    epsilon/4.
     """
     if depth_limit is not None and depth_limit < 1:
         raise InputError(f"depth limit must be >= 1, got {depth_limit}")
@@ -329,28 +329,22 @@ def challenge_respond(
     if ts_all and (ts_all[0] < 0 or ts_all[-1] > 1):
         raise InputError("challenge points must lie in [0, 1]")
 
-    q_points = set(ts_all)
+    # segments tile [0, 1] in order, so each starts at q[-1]
+    q, s = [ZERO], [ZERO]
     gap_records = []
     piece_records = []
     new_breaks = [ZERO]
     new_pieces = []
     challenge_pieces = []
-    deepened = False
-    deviation_total = ZERO
 
     for d, piece in enumerate(g.pieces):
         h0, h1 = g.breakpoints[d], g.breakpoints[d + 1]
-        q_points.update((h0, h1))
         ts = [t for t in ts_all if h0 < t < h1]
         level, covers = _covering_for_piece(bush, piece, h0, h1, ts, cap)
 
         eff_depth = max(piece.depth, level + 1)
-        if eff_depth > piece.depth:
-            deepened = True
         eff_piece = piece.deepened(eff_depth)
         challenge_pieces.append(eff_piece)
-
-        flip_position = level  # 0-based: branch bit index level is flipped
         flip_bits = piece.extended_label(level) + (1 - piece.bit_at(level),)
         flip_spec = BranchSpec(flip_bits, eff_depth)
 
@@ -364,60 +358,37 @@ def challenge_respond(
             cursor = b
         if cursor < h1:
             segments.append((cursor, h1, flip_spec))
-        complements = tuple((a, b) for a, b, spec in segments if spec is flip_spec)
 
+        mid = intermediate_for_label(bush, piece.extended_label(level))
         for a, b, spec in segments:
             new_pieces.append(spec)
             new_breaks.append(b)
-        for a, b in covers:
-            q_points.update((a, b))
+            if spec is eff_piece:
+                for x in [*(t for t in ts if a < t < b), b]:
+                    s.append(q[-1])
+                    q.append(x)
+                continue
+            for _, end, midpoint, dev, _ in _gap_deviations(bush, mid.label, a, b):
+                s.append(midpoint)
+                q.append(end)
+                gap_records.append(DeviationPoint(midpoint, dev))
 
-        # witness deviation: one s-point per intermediate-line gap in the
-        # complement; both geodesics pass through every gap boundary, and
-        # the complement's ends are vertices, so its gaps are the window's
-        mid = intermediate_for_label(bush, piece.extended_label(level))
-        for a, b in complements:
-            den, gaps = mid.window(a, b)
-            for start, length, ref in gaps:
-                distance = bush._index.pair_distances[ref]  # dev = length/den * distance/2
-                dev = Fraction(length * distance.numerator, 2 * den * distance.denominator)
-                gap_records.append(DeviationPoint(Fraction(2 * start + length, 2 * den), dev))
-                deviation_total += dev
-                q_points.update((Fraction(start, den), Fraction(start + length, den)))
+        complements = tuple((a, b) for a, b, spec in segments if spec is flip_spec)
+        # the flipped bit is branch position `level`
+        piece_records.append(PieceRecord(h0, h1, level, level, tuple(covers), complements))
+    s.append(q[-1])
 
-        piece_records.append(
-            PieceRecord(h0, h1, level, flip_position, tuple(covers), complements)
-        )
-
-    challenge = (
-        g if not deepened else PastedGeodesic(bush, g.breakpoints, tuple(challenge_pieces))
-    )
-    g_tilde = paste(bush, tuple(new_breaks), tuple(new_pieces))
-
-    q_sorted = sorted(q_points)
-    dev_by_slot = {}
-    for rec in gap_records:
-        i = bisect_left(q_sorted, rec.arclength)
-        # rec sits strictly between q_sorted[i-1] and q_sorted[i]
-        dev_by_slot[i] = rec
-    s_list = []
-    for i in range(len(q_sorted) + 1):
-        rec = dev_by_slot.get(i)
-        if rec is not None:
-            s_list.append(rec.arclength)
-        elif i == 0:
-            s_list.append(q_sorted[0])
-        else:
-            s_list.append(q_sorted[i - 1])
-
+    deepened = challenge_pieces != list(g.pieces)
+    challenge = PastedGeodesic(bush, g.breakpoints, tuple(challenge_pieces)) if deepened else g
     witness = ThicknessWitness(
-        q=tuple(q_sorted),
-        s=tuple(s_list),
-        deviation_total=deviation_total,
+        q=tuple(q),
+        s=tuple(s),
+        deviation_total=sum((r.deviation for r in gap_records), ZERO),
         gap_records=tuple(gap_records),
         piece_records=tuple(piece_records),
     )
-    return ChallengeResponse(g_tilde, witness, challenge, deepened)
+    return ChallengeResponse(paste(bush, tuple(new_breaks), tuple(new_pieces)), witness,
+                             challenge, deepened)
 
 
 def _distance(index, difference: tuple):
@@ -429,24 +400,14 @@ def _distance(index, difference: tuple):
 
 
 @dataclass
-class WitnessReport:
-    checks: list = field(default_factory=list)
+class WitnessReport(_Checks):
     achieved_deviation: Fraction = ZERO
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def add(self, name, ok, detail=""):
-        self.checks.append((name, bool(ok), detail))
 
     def as_dict(self) -> dict:
         return {
             "passed": self.passed,
             "achieved_deviation": str(self.achieved_deviation),
-            "checks": [
-                {"name": n, "passed": ok, "detail": detail} for n, ok, detail in self.checks
-            ],
+            "checks": [c._asdict() for c in self.checks],
         }
 
 

@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 
 from .bushes import Bush
 from .errors import InputError, check_budget
-from .families import BranchSpec, PastedGeodesic, ThicknessWitness, paste
+from .families import (BranchSpec, DeviationPoint, PastedGeodesic, PieceRecord,
+                       ThicknessWitness, paste)
 from .lines import BrokenLine, format_label
 from .rationals import format_rational, format_vector, parse_rational
 from .spaces import Functional, NormedSpace
@@ -189,8 +190,6 @@ def witness_to_dict(witness: ThicknessWitness) -> dict:
 
 
 def witness_from_dict(doc: dict) -> ThicknessWitness:
-    from .families import DeviationPoint, PieceRecord
-
     try:
         return ThicknessWitness(
             q=tuple(parse_rational(x) for x in doc["q"]),

@@ -30,8 +30,9 @@ walk; nothing is memoised.
 
 Both children of a label pass through every vertex of the intermediate
 line; between two consecutive intermediate vertices they acquire new
-vertices sitting exactly (gap/2) * ||x_parent - x_child|| apart, which is
-what `sibling_deviation` totals up.
+vertices sitting exactly (gap/2) * ||x_parent - x_child|| apart.
+`_gap_deviations` lists them gap by gap; `sibling_deviation` totals them
+and the game's witness reads them.
 """
 
 from __future__ import annotations
@@ -44,9 +45,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .bushes import Bush, BushVectorRef, GeneratorRef, MidpointRef, validate_bush
 from .errors import BudgetError, InputError, check_budget
-from .rationals import Vec, to_fraction
+from .rationals import Vec, format_rational, to_fraction
 
-HALF = Fraction(1, 2)
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -362,6 +362,21 @@ def _walk(bush: Bush, label: tuple, intermediate: bool = False, a=ZERO, b=ONE):
     return den, terms()
 
 
+def _gap_deviations(bush: Bush, label: tuple, a=ZERO, b=ONE):
+    """The gaps of the intermediate line of ``label`` inside the vertex
+    window [a, b], in order, as ``(start, end, midpoint, deviation, ref)``:
+    the children of ``label`` place new vertices at the gap's midpoint,
+    ``deviation = (end - start) / 2 * ||x_parent - x_child||`` apart.  The
+    caller checks the label (`_check_label`)."""
+    distances = bush._index.pair_distances
+    den, terms = _walk(bush, label, True, a, b)
+    for start, length, ref in terms:
+        d = distances[ref]
+        yield (Fraction(start, den), Fraction(start + length, den),
+               Fraction(2 * start + length, 2 * den),
+               Fraction(length * d.numerator, 2 * den * d.denominator), ref)
+
+
 def line_for_label(bush: Bush, label: Sequence[int]) -> BrokenLine:
     """The line of a bit-string label; the empty label is the straight
     segment from 0 to the root vector."""
@@ -416,8 +431,6 @@ class DeviationReport:
     warning: Optional[str] = None
 
     def as_dict(self) -> dict:
-        from .rationals import format_rational
-
         return {
             "label": format_label(self.label),
             "total": format_rational(self.total),
@@ -451,9 +464,8 @@ def sibling_deviation(
     """
     mid = intermediate_for_label(bush, label)
     check_budget(repr(mid), _term_count(bush, len(mid.label), True))
-    den, walk = mid.window()
-    terms = list(walk)
-    n = len(terms)
+    rows = list(_gap_deviations(bush, mid.label))
+    n = len(rows)
     if selection is None:
         chosen = range(n)
     else:
@@ -464,21 +476,10 @@ def sibling_deviation(
     total = ZERO
     selected_length = ZERO
     for i in chosen:
-        start, length, ref = terms[i]
-        coeff = Fraction(length, den)
-        dev = coeff * HALF * bush._index.pair_distances[ref]
-        gaps.append(
-            GapDeviation(
-                index=i,
-                start=Fraction(start, den),
-                end=Fraction(start + length, den),
-                length=coeff,
-                midpoint_arclength=Fraction(2 * start + length, 2 * den),
-                deviation=dev,
-                ref=ref,
-            )
-        )
+        start, end, midpoint, dev, ref = rows[i]
+        length = end - start
+        gaps.append(GapDeviation(i, start, end, length, midpoint, dev, ref))
         total += dev
-        selected_length += coeff
+        selected_length += length
     warning = "empty selection: deviation sum is vacuously 0" if not gaps else None
     return DeviationReport(mid.label, total, tuple(gaps), selected_length, warning)

@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
+from .errors import InputError
+
 Scalar = Union[int, Fraction]
 Vec = tuple  # tuple[Scalar, ...]
 
@@ -18,8 +20,6 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
-        from .errors import InputError
-
         raise InputError(f"not a rational number: {text!r}") from exc
 
 

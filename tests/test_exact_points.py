@@ -143,16 +143,25 @@ def test_deep_line_op_never_builds_levels():
 
 
 @exact
-@given(seed=st.integers(0, 10**6), which=st.sampled_from(("dyadic", "random")))
-def test_achieved_deviation_is_the_dense_sum(seed, which):
+@given(seed=st.integers(0, 10**6), which=st.sampled_from(("dyadic", "random")), data=st.data())
+def test_achieved_deviation_is_the_dense_sum(seed, which, data):
+    # shallow piece depths get deepened, and a depth limit caps the
+    # covering search; both reach the witness builder here
     bush = dyadic_bush(4) if which == "dyadic" else random_bush(5, depth=3)
-    g, ts = random_challenge(bush, random.Random(seed))
+    depths = st.one_of(st.none(), st.integers(1, bush.depth))
+    depth, depth_limit = data.draw(depths), data.draw(depths)
+    g, ts = random_challenge(bush, random.Random(seed), depth=depth)
     try:
-        resp = challenge_respond(bush, g, ts)
-    except BudgetError:  # a depth-3 bush is too shallow to cover some challenges
+        resp = challenge_respond(bush, g, ts, depth_limit=depth_limit)
+    except BudgetError:  # a shallow bush or limit cannot cover some challenges
         reject()
     report = validate_witness(resp.challenge, resp.geodesic, ts, resp.witness, bush.epsilon / 4)
-    s = resp.witness.s
+    assert report.passed, [c.name for c in report.checks if not c.passed]
+    q, s = resp.witness.q, resp.witness.s
+    assert all(a < b for a, b in zip(q, q[1:]))
+    # the gap records are the s_i strictly inside their slots, in order
+    inside = [y for x, y, z in zip(q, s[1:], q[1:]) if x < y < z]
+    assert inside == [r.arclength for r in resp.witness.gap_records]
     pairs = zip(resp.challenge.eval_batch(s), resp.geodesic.eval_batch(s))
     assert report.achieved_deviation == sum(bush.space.dist(u, v) for u, v in pairs)
 

@@ -88,7 +88,7 @@ def test_make_branch_budget(dyadic):
 def test_paste_single_piece(dyadic):
     bush = dyadic(2)
     geo = branch_geodesic(bush, (0,))
-    assert geo.n_pieces == 1
+    assert len(geo.pieces) == 1
     assert geo.eval_batch([F(1, 4)])[0] == line_for_label(bush, (0, 0)).eval_batch([F(1, 4)])[0]
 
 
@@ -189,7 +189,7 @@ def test_gap_switch_pasting(dyadic):
     for s in (F(1, 16), F(5, 16), F(11, 16)):
         assert all_zero.eval_batch([s])[0] == line.eval_batch([s])[0]
     mixed = gap_switch_pasting(bush, (0,), (0, 1, 0, 1, 0, 1, 0, 1))
-    assert mixed.n_pieces == 8
+    assert len(mixed.pieces) == 8
     with pytest.raises(InputError):
         gap_switch_pasting(bush, (0,), (0, 1))
 
@@ -259,7 +259,7 @@ def test_covering_when_every_challenge_point_is_a_level_0_vertex(make_bush):
                          if ends <= set(line_for_label(bush, piece.extended_label(L)).arclengths))
             assert rec.refine_depth == level
             assert rec.covers == ()
-        pieces_seen += g.n_pieces
+        pieces_seen += len(g.pieces)
         report = validate_witness(resp.challenge, resp.geodesic, ts, resp.witness, bush.epsilon / 4)
         assert report.passed, report.as_dict()
     assert pieces_seen > 40  # some geodesics have interior breakpoints

@@ -101,7 +101,7 @@ def test_witness_round_trip(dyadic):
     bush = dyadic(3)
     geo = gap_switch_pasting(bush, (), (0, 1))
     resp = challenge_respond(bush, geo, [F(1, 3), F(5, 8)])
-    assert len(resp.witness.piece_records) == geo.n_pieces == 2
+    assert len(resp.witness.piece_records) == len(geo.pieces) == 2
     doc = witness_to_dict(resp.witness)
     w2 = witness_from_dict(json.loads(json.dumps(doc)))
     assert w2 == resp.witness
