@@ -39,7 +39,7 @@ from .families import (
     random_challenge,
     validate_witness,
 )
-from .gauge import gauge_decompose, gauge_renorm
+from .gauge import gauge_decompose
 from .lines import (
     BrokenLine,
     BushVectorRef,

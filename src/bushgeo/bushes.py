@@ -20,103 +20,98 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, compress
-from typing import NamedTuple, Union
+from itertools import accumulate, compress
+from typing import NamedTuple, Sequence, Union
 
 from .errors import DimensionMismatch, InputError, StructuralError, check_budget
-from .rationals import Vec, vadd
+from .rationals import Vec
 from .spaces import Functional, NormedSpace
 
 
-@dataclass(frozen=True, eq=False)
+class _DenseView(cached_property):
+    """A `cached_property` that class access does not see: the dataclass
+    field of the same name then keeps no default."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            raise AttributeError(self.attrname)
+        return super().__get__(instance, owner)
+
+
+@dataclass(frozen=True, eq=False, repr=False)  # a repr would build the dense view
 class Bush:
     """Finite-depth bush; immutable, hashed by identity.
 
     ``partitions[l][k]`` lists the level-(l+1) children of parent ``k`` at
     level ``l``; ``weights[l][j]`` is the convex weight of child ``j`` at
-    level ``l+1``.  Both have length ``depth``.  ``levels`` holds the dense
-    vectors.  A constructor may instead pass them as `_Runs`; then
-    ``levels`` is a dense view built on first read, and nothing in the
-    package reads it.
+    level ``l+1``.  Both have length ``depth``.  The vectors are stored
+    only as runs over one coordinate order: ``order[p]`` is the coordinate
+    at position p (a ``range`` for the identity), and ``runs[n][j]`` lists
+    the ``(start, stop, value)`` stretches of positions, in increasing
+    order, on which x[n][j] is a nonzero constant; it is zero elsewhere.
+    Pass dense ``levels``, which `_tree_runs` orders and turns into runs,
+    or ``levels=None`` with ``runs`` over ``order`` (default the identity),
+    which are checked and kept.  Afterwards ``levels`` is a dense view
+    built on first read; `dataclasses.replace` passes it, and so rebuilds
+    the runs from it.
     """
 
     space: NormedSpace
-    levels: tuple  # levels[n][j] -> Vec
+    levels: tuple  # dense input, or None; afterwards the view below
     partitions: tuple
     weights: tuple
     epsilon: Fraction
     functional: Functional
+    runs: tuple = field(default=None, kw_only=True)
+    order: Sequence = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
-        runs = self.levels if isinstance(self.levels, _Runs) else None
-        object.__setattr__(self, "_runs", runs)
-        if runs is None:
-            levels = tuple(tuple(tuple(vec) for vec in lev) for lev in self.levels)
-            object.__setattr__(self, "levels", levels)
+        dim = self.space.dimension
+        levels = vars(self).pop("levels")  # from here on ``levels`` is the view
+        if levels is not None:
+            order, runs = _tree_runs(levels, dim)
         else:
-            levels = runs
-            object.__delattr__(self, "levels")  # `__getattr__` builds it on first read
-        object.__setattr__(self, "level_sizes", tuple(map(len, levels)))
-        # blocks are kept in ascending child order: any order represents the
-        # same bush, and a fixed one makes every construction deterministic
-        object.__setattr__(
-            self,
-            "partitions",
-            tuple(tuple(tuple(sorted(b)) for b in lev) for lev in self.partitions),
+            order, runs = _checked_runs(self.runs, self.order, dim)
+        vars(self).update(
+            order=order, runs=runs, level_sizes=tuple(map(len, runs)),
+            epsilon=Fraction(self.epsilon),
+            # blocks are kept in ascending child order: any order represents the
+            # same bush, and a fixed one makes every construction deterministic
+            partitions=tuple(tuple(tuple(sorted(b)) for b in lev) for lev in self.partitions),
+            weights=tuple(tuple(map(Fraction, lev)) for lev in self.weights),
         )
-        object.__setattr__(
-            self, "weights", tuple(tuple(Fraction(w) for w in lev) for lev in self.weights)
-        )
-        if not levels or not levels[0]:
+        sizes = self.level_sizes
+        if not sizes or not sizes[0]:
             raise StructuralError("bush needs a root level")
         if self.epsilon <= 0:
             raise InputError(f"epsilon must be positive, got {self.epsilon}")
-        depth = len(levels) - 1
+        depth = len(sizes) - 1
         if len(self.partitions) != depth or len(self.weights) != depth:
             raise StructuralError(
                 f"depth {depth} bush needs {depth} partition/weight levels, "
                 f"got {len(self.partitions)}/{len(self.weights)}"
             )
-        if runs is None:
-            for n, lev in enumerate(levels):
-                for j, vec in enumerate(lev):
-                    if len(vec) != self.space.dimension:
-                        raise DimensionMismatch(self.space.dimension, len(vec), f"x[{n}][{j}]")
         for l in range(depth):
-            if len(self.partitions[l]) != len(levels[l]):
+            if len(self.partitions[l]) != sizes[l]:
                 raise StructuralError(
-                    f"level {l} has {len(levels[l])} parents but "
-                    f"{len(self.partitions[l])} blocks"
+                    f"level {l} has {sizes[l]} parents but {len(self.partitions[l])} blocks"
                 )
-            if len(self.weights[l]) != len(levels[l + 1]):
+            if len(self.weights[l]) != sizes[l + 1]:
                 raise StructuralError(
-                    f"level {l + 1} has {len(levels[l + 1])} vectors but "
-                    f"{len(self.weights[l])} weights"
+                    f"level {l + 1} has {sizes[l + 1]} vectors but {len(self.weights[l])} weights"
                 )
-        if len(self.functional.coefficients) != self.space.dimension:
-            raise DimensionMismatch(
-                self.space.dimension, len(self.functional.coefficients), "functional"
-            )
+        if len(self.functional.coefficients) != dim:
+            raise DimensionMismatch(dim, len(self.functional.coefficients), "functional")
 
-    def __getattr__(self, name):
-        # reached only when ``levels`` of a bush built from runs is first read
-        runs = self.__dict__.get("_runs")
-        if name != "levels" or runs is None:
-            raise AttributeError(f"'Bush' object has no attribute {name!r}")
-        zeros = (0,) * self.space.dimension
-        levels = []
-        for lev in runs:
-            dense = []
-            for vec in lev:
-                cells = list(zeros)
-                for start, stop, value in vec:
-                    cells[start:stop] = (value,) * (stop - start)
-                dense.append(tuple(cells))
-            levels.append(tuple(dense))
-        levels = tuple(levels)
-        object.__setattr__(self, "levels", levels)
-        return levels
+    @_DenseView
+    def levels(self) -> tuple:
+        """The dense vectors, ``levels[n][j]`` in the caller's coordinate
+        order with ``0`` for a zero entry, built on first read; the size
+        budget is checked on their (vectors x dimension) cells first."""
+        dim = self.space.dimension
+        check_budget(f"the dense levels of a bush of dimension {dim}",
+                     sum(self.level_sizes) * dim)
+        return tuple(tuple(_dense(vec, self.order, dim) for vec in lev) for lev in self.runs)
 
     @property
     def depth(self) -> int:
@@ -126,12 +121,6 @@ class Bush:
     def _index(self) -> "BushIndex":
         """Compiled view of this bush, built on first use and freed with it."""
         return BushIndex(self)
-
-
-class _Runs(tuple):
-    """Bush vectors given as runs: ``runs[n][j]`` lists the ``(start, stop,
-    value)`` stretches of coordinates, in increasing order, on which x[n][j]
-    is a nonzero constant; it is zero elsewhere."""
 
 
 class BushVectorRef(NamedTuple):
@@ -201,17 +190,19 @@ def _tree_runs(levels, dim: int):
     """The coordinate order and the runs of dense ``levels`` in it.
 
     Coordinates are sorted by the chain of supports that contain them,
-    level by level; for a laminar family (``random_bush``) that is tree
-    order, and every support becomes one run.  Any order gives the same
-    results; this one only makes the runs few.  Returns ``(order, runs)``:
-    ``order[p]`` is the coordinate at position p, a ``range`` for the
-    identity.
+    level by level; for a laminar family that is tree order, and every
+    support becomes one run.  Any order gives the same results; this one
+    only makes the runs few.  Returns ``(order, runs)``: ``order[p]`` is
+    the coordinate at position p, a ``range`` for the identity.
     """
     positions = range(dim)
-    chains = [[] for _ in positions]  # the vectors containing each coordinate, in level order
-    for v, vec in enumerate(chain.from_iterable(levels)):
-        for i in compress(positions, vec):
-            chains[i].append(v)
+    chains = [[] for _ in positions]  # the vectors (n, j) containing each coordinate
+    for n, lev in enumerate(levels):
+        for j, vec in enumerate(lev):
+            if len(vec) != dim:
+                raise DimensionMismatch(dim, len(vec), f"x[{n}][{j}]")
+            for i in compress(positions, vec):
+                chains[i].append((n, j))
     order = sorted(positions, key=chains.__getitem__)
     where = sorted(positions, key=order.__getitem__)  # the position of each coordinate
     runs = []
@@ -222,22 +213,48 @@ def _tree_runs(levels, dim: int):
             for p in sorted(map(where.__getitem__, compress(positions, vec))):
                 value = vec[order[p]]
                 if vec_runs and vec_runs[-1][1] == p and vec_runs[-1][2] == value:
-                    vec_runs[-1][1] = p + 1
+                    vec_runs[-1] = (vec_runs[-1][0], p + 1, value)
                 else:
-                    vec_runs.append([p, p + 1, value])
-            row.append(vec_runs)
-        runs.append(row)
-    return positions if order == list(positions) else tuple(order), runs
+                    vec_runs.append((p, p + 1, value))
+            row.append(tuple(vec_runs))
+        runs.append(tuple(row))
+    return positions if order == list(positions) else tuple(order), tuple(runs)
+
+
+def _checked_runs(runs, order, dim: int):
+    """Runs and coordinate order (None for the identity) as tuples, the
+    identity as a ``range``; refuses an order that is not a permutation and
+    a run that is empty, zero, unsorted, overlapping or past the dimension."""
+    positions = range(dim)
+    order = positions if order is None or list(order) == list(positions) else tuple(order)
+    if sorted(order) != list(positions):
+        raise InputError(f"the coordinate order is not a permutation of 0..{dim - 1}")
+    runs = tuple(tuple(tuple(map(tuple, vec)) for vec in lev) for lev in runs)
+    for n, lev in enumerate(runs):
+        for j, vec in enumerate(lev):
+            for (_, last, _), (start, stop, value) in zip(((0, 0, 0),) + vec, vec):
+                if not last <= start < stop <= dim or value == 0:
+                    raise InputError(f"x[{n}][{j}] has the run ({start}, {stop}, {value}); runs "
+                                     f"must be nonzero, sorted, disjoint and inside 0..{dim}")
+    return order, runs
+
+
+def _dense(runs, order, dim: int) -> tuple:
+    """The coordinates of the vector with these runs over ``order``."""
+    cells = [0] * dim
+    for start, stop, value in runs:
+        for i in order[start:stop]:
+            cells[i] = value
+    return tuple(cells)
 
 
 class BushIndex:
     """Run-form, integer-scaled view of one bush.
 
-    The index puts the coordinates in one order (``order[p]`` is the
-    coordinate at position p; the identity for a bush built from runs, else
-    `_tree_runs`'s) and ``inverse[i]`` is coordinate i's position (None for
-    the identity).  All bush vector and midpoint coordinates are integer
-    multiples of ``1 / scale`` (2 * lcm of the nonzero coordinate
+    The index keeps the bush's coordinate order (``order[p]`` is the
+    coordinate at position p) and ``inverse[i]``, coordinate i's position
+    (None for the identity).  All bush vector and midpoint coordinates are
+    integer multiples of ``1 / scale`` (2 * lcm of the nonzero coordinate
     denominators), so ``supports[ref]`` holds a generator as runs ``(start,
     stop, int)`` over positions.  ``vector_refs[n][j]`` and
     ``midpoint_refs[l][j]`` (child j at level l + 1 with its parent) are the
@@ -253,10 +270,8 @@ class BushIndex:
         self.parents = _parent_map(bush)  # raises StructuralError on overlap/gap
         space = bush.space
         dim = space.dimension
-        runs = bush._runs
-        self.order = range(dim)
-        if runs is None:
-            self.order, runs = _tree_runs(bush.levels, dim)
+        runs = bush.runs
+        self.order = bush.order
         self.inverse = None  # the identity
         if self.order != range(dim):
             self.inverse = tuple(sorted(range(dim), key=self.order.__getitem__))
@@ -516,7 +531,8 @@ def shift_bush(bush: Bush, x: Vec) -> Bush:
     bush.space.check_vector(x, "shift")
     return Bush(
         space=bush.space,
-        levels=tuple(tuple(vadd(vec, x) for vec in lev) for lev in bush.levels),
+        levels=tuple(tuple(tuple(a + b for a, b in zip(vec, x)) for vec in lev)
+                     for lev in bush.levels),
         partitions=bush.partitions,
         weights=bush.weights,
         epsilon=bush.epsilon,
@@ -529,10 +545,11 @@ def dyadic_bush(n_levels: int) -> Bush:
 
     Depth ``n_levels``, ambient dimension 2**n_levels, weights 2**-n_levels
     per coordinate.  x[n][j] equals 2**n on the j-th block of 2**(N-n)
-    coordinates and 0 elsewhere, handed to the bush as that one run; every
-    block is a pair with weights 1/2 and epsilon = 1.  Passes validate_bush.
-    Its (2**(N+1) - 1) vectors would fill the size budget densely up to
-    N = 12, and the budget is checked on that dense size.
+    coordinates and 0 elsewhere, handed to the bush as that one run in the
+    identity order; every block is a pair with weights 1/2 and
+    epsilon = 1.  Passes validate_bush.  The size budget is checked on the
+    cells of its dense view, (2**(N+1) - 1) vectors of 2**N coordinates,
+    which fit up to N = 12.
     """
     if n_levels < 1:
         raise InputError(f"need n_levels >= 1, got {n_levels}")
@@ -540,7 +557,7 @@ def dyadic_bush(n_levels: int) -> Bush:
     check_budget(f"dyadic_bush({n_levels})", (2 * dim - 1) * dim)
     w = Fraction(1, dim)
     space = NormedSpace(dim, "wl1", (w,) * dim)
-    levels = _Runs(
+    runs = tuple(
         tuple(((j * dim >> n, (j + 1) * dim >> n, 2 ** n),) for j in range(2 ** n))
         for n in range(n_levels + 1)
     )
@@ -551,11 +568,12 @@ def dyadic_bush(n_levels: int) -> Bush:
     weights = tuple((half,) * 2 ** (n + 1) for n in range(n_levels))
     return Bush(
         space=space,
-        levels=levels,
+        levels=None,
         partitions=partitions,
         weights=weights,
         epsilon=Fraction(1),
         functional=Functional((w,) * dim),
+        runs=runs,
     )
 
 
@@ -573,10 +591,13 @@ def random_bush(
     mass ratios, the integral functional w has operator norm one and value
     one on every group, and the child-parent distance is exactly
     2*(1 - weight).  epsilon is set to the minimum such distance (tight) or
-    to a random fraction of it.  A level-n group holds at least 2**(depth-n)
-    atoms, so the dense vectors hold at most ``atoms * sum_n atoms //
-    2**(depth-n)`` cells, with ``atoms = 2**depth + extra_atoms``; that is
-    checked against the size budget before any draw.
+    to a random fraction of it.  Every group is a contiguous slice of the
+    shuffled atoms, so the bush takes that shuffle as its coordinate order
+    and each group vector as one run; no dense vector is built.  A level-n
+    group holds at least 2**(depth-n) atoms, so the dense view holds at
+    most ``atoms * sum_n atoms // 2**(depth-n)`` cells, with ``atoms =
+    2**depth + extra_atoms``; that is checked against the size budget
+    before any draw.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
@@ -592,68 +613,52 @@ def random_bush(
     masses = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n_atoms)]
     atoms = list(range(n_atoms))
     rng.shuffle(atoms)
+    # the mass of the atoms at positions [a, b) is prefix[b] - prefix[a]
+    prefix = [0, *accumulate(masses[i] for i in atoms)]
 
-    def group_vector(members):
-        mass = sum((masses[i] for i in members), Fraction(0))
-        vec = [Fraction(0)] * n_atoms
-        inv = 1 / mass
-        for i in members:
-            vec[i] = inv
-        return tuple(vec), mass
-
-    # groups[level] = list of atom-index tuples; split keeps every group
-    # large enough to keep splitting down to `depth`
-    groups = [[tuple(atoms)]]
+    # groups[level] = (a, b) position slices of the shuffled atoms; split
+    # keeps every group large enough to keep splitting down to `depth`
+    groups = [[(0, n_atoms)]]
     partitions = []
     for level in range(depth):
         min_size = 2 ** (depth - level - 1)
         next_groups = []
         partition = []
-        for block in groups[-1]:
+        for lo, hi in groups[-1]:
             k = len(next_groups)
-            if len(block) >= 3 * min_size and rng.random() < 0.4:
-                a = rng.randint(min_size, len(block) - 2 * min_size)
-                b = rng.randint(a + min_size, len(block) - min_size)
-                pieces = [block[:a], block[a:b], block[b:]]
+            if hi - lo >= 3 * min_size and rng.random() < 0.4:
+                a = lo + rng.randint(min_size, hi - lo - 2 * min_size)
+                b = lo + rng.randint(a - lo + min_size, hi - lo - min_size)
+                pieces = [(lo, a), (a, b), (b, hi)]
             else:
-                split_at = rng.randint(min_size, len(block) - min_size)
-                pieces = [block[:split_at], block[split_at:]]
+                split_at = lo + rng.randint(min_size, hi - lo - min_size)
+                pieces = [(lo, split_at), (split_at, hi)]
             partition.append(tuple(range(k, k + len(pieces))))
             next_groups.extend(pieces)
         groups.append(next_groups)
         partitions.append(tuple(partition))
 
-    levels = []
-    group_masses = []
-    for lev in groups:
-        vecs = []
-        ms = []
-        for block in lev:
-            vec, mass = group_vector(block)
-            vecs.append(vec)
-            ms.append(mass)
-        levels.append(tuple(vecs))
-        group_masses.append(ms)
+    group_masses = [[prefix[b] - prefix[a] for a, b in lev] for lev in groups]
+    runs = tuple(
+        tuple(((a, b, 1 / mass),) for (a, b), mass in zip(lev, ms))
+        for lev, ms in zip(groups, group_masses)
+    )
+    weights = tuple(
+        tuple(group_masses[l + 1][j] / group_masses[l][k]
+              for k, block in enumerate(partitions[l]) for j in block)
+        for l in range(depth)
+    )
 
-    weights = []
-    for level in range(depth):
-        lam = []
-        for k, block in enumerate(partitions[level]):
-            parent_mass = group_masses[level][k]
-            for j in block:
-                lam.append(group_masses[level + 1][j] / parent_mass)
-        weights.append(tuple(lam))
-
-    lam_max = max(w for lev in weights for w in lev)
-    eps = 2 * (1 - lam_max)
+    eps = 2 * (1 - max(w for lev in weights for w in lev))
     if not tight_epsilon:
         eps = eps * Fraction(rng.randint(1, 4), 4)
-    space = NormedSpace(n_atoms, "wl1", tuple(masses))
     return Bush(
-        space=space,
-        levels=tuple(levels),
+        space=NormedSpace(n_atoms, "wl1", tuple(masses)),
+        levels=None,
         partitions=tuple(partitions),
-        weights=tuple(weights),
+        weights=weights,
         epsilon=eps,
         functional=Functional(tuple(masses)),
+        runs=runs,
+        order=atoms,
     )

@@ -21,7 +21,7 @@ from .families import (
     random_challenge,
     validate_witness,
 )
-from .gauge import gauge_renorm
+from .gauge import gauge_decompose
 from .lines import (
     format_label,
     intermediate_for_label,
@@ -148,11 +148,13 @@ def cmd_challenge(args) -> int:
 def cmd_witness_validate(args) -> int:
     bush = _load_bush(args)
     geo, ts = formats.challenge_from_dict(bush, formats.load_json(args.challenge))
-    response = formats.load_json(args.response)
-    g_tilde, witness, challenge = formats.response_from_dict(bush, response)
-    geo = challenge or geo
+    g_tilde, witness, challenge = formats.response_from_dict(bush, formats.load_json(args.response))
     alpha = parse_rational(args.alpha) if args.alpha else bush.epsilon / 4
-    report = validate_witness(geo, g_tilde, ts, witness, alpha)
+    report = validate_witness(challenge or geo, g_tilde, ts, witness, alpha)
+    if challenge is not None:
+        deepens = challenge.deepens(geo)
+        report.add("challenge_geodesic_deepens_given", deepens, "" if deepens else
+                   "the response's challenge geodesic is not the given one at a depth >= its own")
     doc = report.as_dict()
     doc["alpha"] = format_rational(alpha)
     _emit(args, doc)
@@ -188,7 +190,7 @@ def cmd_gauge_eval(args) -> int:
         doc["values"].append(
             {
                 "vector": name,
-                "gauge": format_rational(gauge_renorm(bush.space, generators, vec)),
+                "gauge": format_rational(gauge_decompose(bush.space, generators, vec).value),
                 "base_norm": format_rational(bush.space.norm(vec)),
                 "functional": format_rational(bush.functional(vec)),
             }

@@ -122,6 +122,15 @@ class PastedGeodesic:
         index = self.bush._index
         return [_fractions(index, point) for point in self._points(points)]
 
+    def deepens(self, given: "PastedGeodesic") -> bool:
+        """Whether this is ``given`` rendered more finely: the same
+        breakpoints and, piece by piece, the same branch (its bits,
+        zero-filled) at a depth at least the given one."""
+        return self.breakpoints == given.breakpoints and all(
+            b.depth >= a.depth and b.extended_label() == a.extended_label(b.depth)
+            for a, b in zip(given.pieces, self.pieces)
+        )
+
     def _points(self, points: Sequence):
         """`eval_batch` as run-form points (`lines._point`), yielded one at a
         time so that a caller pairing two geodesics holds two points, not two

@@ -19,7 +19,7 @@ from .errors import InputError, check_budget
 from .families import (BranchSpec, DeviationPoint, PastedGeodesic, PieceRecord,
                        ThicknessWitness, paste)
 from .lines import BrokenLine, format_label
-from .rationals import format_rational, format_vector, parse_rational
+from .rationals import format_rational, format_vector, parse_rational, parse_vector
 from .spaces import Functional, NormedSpace
 
 _DECIMAL_CTX = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_EVEN)
@@ -58,12 +58,11 @@ def space_to_dict(space: NormedSpace) -> dict:
     return doc
 
 
-def space_from_dict(doc: dict, rational=parse_rational) -> NormedSpace:
+def space_from_dict(doc: dict) -> NormedSpace:
     try:
         dimension = int(doc["dimension"])
         kind = doc["norm"]
-        weights = (tuple(map(rational, doc["weights"]))
-                   if "weights" in doc and doc["weights"] else None)
+        weights = parse_vector(doc["weights"]) if "weights" in doc and doc["weights"] else None
     except _MALFORMED as exc:
         raise _malformed("space", exc) from exc
     return NormedSpace(dimension, kind, weights)
@@ -73,46 +72,43 @@ def space_from_dict(doc: dict, rational=parse_rational) -> NormedSpace:
 
 
 def bush_to_dict(bush: Bush) -> dict:
-    return {
+    """The bush as it is stored: each vector as its runs ``[start, stop,
+    "value"]``, and the coordinate order when it is not the identity."""
+    doc = {
         "space": space_to_dict(bush.space),
         "epsilon": format_rational(bush.epsilon),
-        "levels": [[format_vector(vec) for vec in lev] for lev in bush.levels],
+        "runs": [[[[a, b, format_rational(v)] for a, b, v in vec] for vec in lev]
+                 for lev in bush.runs],
         "partitions": [[list(block) for block in lev] for lev in bush.partitions],
         "weights": [format_vector(lev) for lev in bush.weights],
         "functional": format_vector(bush.functional.coefficients),
     }
+    if bush.order != range(bush.space.dimension):
+        doc["order"] = list(bush.order)
+    return doc
 
 
 def bush_from_dict(doc: dict) -> Bush:
-    """The bush of a `bush_to_dict` document.  Each distinct rational string
-    is parsed once per document: a bush repeats few values many times."""
-    parsed = {}  # rational string -> Fraction
-
-    def rational(text):
-        if type(text) is not str:  # parsed (or refused) on its own
-            return parse_rational(text)
-        value = parsed.get(text)
-        if value is None:
-            value = parsed[text] = parse_rational(text)
-        return value
-
-    def vector(items):
-        return tuple(map(rational, items))
-
+    """The bush of a `bush_to_dict` document, or of a document that gives
+    the vectors densely as ``levels`` instead of ``runs``."""
     try:
-        space = space_from_dict(doc["space"], rational)
-        levels = tuple(tuple(vector(vec) for vec in lev) for lev in doc["levels"])
-        partitions = tuple(
-            tuple(tuple(int(j) for j in block) for block in lev) for lev in doc["partitions"]
-        )
-        weights = tuple(vector(lev) for lev in doc["weights"])
+        levels = runs = order = None
+        if "levels" in doc:
+            levels = [[parse_vector(vec) for vec in lev] for lev in doc["levels"]]
+        else:
+            runs = [[[(int(a), int(b), parse_rational(v)) for a, b, v in vec] for vec in lev]
+                    for lev in doc["runs"]]
+            if "order" in doc:
+                order = [int(i) for i in doc["order"]]
         return Bush(
-            space=space,
+            space=space_from_dict(doc["space"]),
             levels=levels,
-            partitions=partitions,
-            weights=weights,
-            epsilon=rational(doc["epsilon"]),
-            functional=Functional(vector(doc["functional"])),
+            partitions=[[[int(j) for j in block] for block in lev] for lev in doc["partitions"]],
+            weights=[parse_vector(lev) for lev in doc["weights"]],
+            epsilon=parse_rational(doc["epsilon"]),
+            functional=Functional(parse_vector(doc["functional"])),
+            runs=runs,
+            order=order,
         )
     except _MALFORMED as exc:
         raise _malformed("bush", exc) from exc

@@ -105,12 +105,3 @@ def gauge_decompose(space: NormedSpace, generators: Sequence[Vec], v: Vec) -> Ga
     if space.kind == "wl1":
         return _wl1_lp(space, generators, v)
     return _linf_lp(space, generators, v)
-
-
-def gauge_renorm(space: NormedSpace, generators: Sequence[Vec], v: Vec) -> Fraction:
-    """Gauge of v w.r.t. conv(unit ball ∪ {±b : b in generators}), an exact
-    Fraction.  Always <= space.norm(v); equals 1 on every generator that has
-    base norm >= 1 and value 1 under a norm-one functional valued 1 on all
-    generators.
-    """
-    return gauge_decompose(space, generators, v).value

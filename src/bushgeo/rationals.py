@@ -40,11 +40,3 @@ def parse_vector(items: Sequence[str]) -> Vec:
 
 def format_vector(vec: Vec) -> list[str]:
     return [format_rational(x) for x in vec]
-
-
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vdot(u: Vec, v: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DimensionMismatch, InputError
-from .rationals import Vec, to_fraction, vdot
+from .rationals import Vec, to_fraction
 
 NORM_KINDS = ("wl1", "linf")
 
@@ -92,4 +92,4 @@ class Functional:
     def __call__(self, v: Vec) -> Fraction:
         if len(v) != len(self.coefficients):
             raise DimensionMismatch(len(self.coefficients), len(v))
-        return vdot(self.coefficients, v)
+        return sum((c * x for c, x in zip(self.coefficients, v)), Fraction(0))

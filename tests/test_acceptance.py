@@ -14,7 +14,7 @@ from bushgeo import (
     challenge_respond,
     dyadic_bush,
     gap_switch_pasting,
-    gauge_renorm,
+    gauge_decompose,
     lambda_max,
     make_branch,
     paste,
@@ -164,7 +164,7 @@ def test_criterion_6_gauge_renorming():
         gens = [vec for lev in bush.levels for vec in lev]
         for lev in bush.levels:
             for vec in lev:
-                value = gauge_renorm(bush.space, gens, vec)
+                value = gauge_decompose(bush.space, gens, vec).value
                 assert value == 1, (n, vec)
                 unit_checked += 1
     rng = random.Random(606)
@@ -177,7 +177,7 @@ def test_criterion_6_gauge_renorming():
 
         def gauge(v, _bush=bush, _gens=gens, _cache=cache):
             if v not in _cache:
-                _cache[v] = gauge_renorm(_bush.space, _gens, v)
+                _cache[v] = gauge_decompose(_bush.space, _gens, v).value
             return _cache[v]
 
         for _ in range(100):

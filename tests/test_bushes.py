@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,13 +11,18 @@ from bushgeo import (
     InputError,
     NormedSpace,
     StructuralError,
+    challenge_respond,
     dyadic_bush,
     lambda_max,
     random_bush,
+    random_challenge,
     shift_bush,
     validate_bush,
+    validate_witness,
 )
 from bushgeo import errors
+from bushgeo.cli import main
+from bushgeo.formats import bush_from_dict, load_json
 from bushgeo.lines import MidpointRef
 
 F = Fraction
@@ -260,6 +266,69 @@ def test_dyadic_levels_are_a_dense_view_built_on_first_read():
     assert {type(x) for lev in bush.levels for vec in lev for x in vec} == {int}
     assert bush.levels is bush.levels
     assert shift_bush(bush, (0,) * dim).levels == expected
+
+
+def test_dense_view_is_refused_by_its_size(monkeypatch):
+    bush = dyadic_bush(4)
+    monkeypatch.setattr(errors, "BUDGET", 31 * 16 - 1)
+    with pytest.raises(BudgetError) as refused:
+        bush.levels
+    assert refused.value.required == 31 * 16  # (vectors) x (dimension)
+    assert "levels" not in vars(bush)
+
+
+def _old_random_levels(seed, depth, extra_atoms):
+    """``random_bush``'s group vectors, drawn as dense ``Fraction`` tuples
+    the way it drew them before it built runs."""
+    rng = random.Random(seed)
+    n_atoms = 2**depth + rng.randrange(extra_atoms + 1) if extra_atoms else 2**depth
+    masses = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n_atoms)]
+    atoms = list(range(n_atoms))
+    rng.shuffle(atoms)
+    groups = [[tuple(atoms)]]
+    for level in range(depth):
+        min_size = 2 ** (depth - level - 1)
+        next_groups = []
+        for block in groups[-1]:
+            if len(block) >= 3 * min_size and rng.random() < 0.4:
+                a = rng.randint(min_size, len(block) - 2 * min_size)
+                b = rng.randint(a + min_size, len(block) - min_size)
+                next_groups += [block[:a], block[a:b], block[b:]]
+            else:
+                split_at = rng.randint(min_size, len(block) - min_size)
+                next_groups += [block[:split_at], block[split_at:]]
+        groups.append(next_groups)
+    levels = []
+    for lev in groups:
+        row = []
+        for block in lev:
+            vec = [F(0)] * n_atoms
+            value = 1 / sum(masses[i] for i in block)
+            for i in block:
+                vec[i] = value
+            row.append(tuple(vec))
+        levels.append(tuple(row))
+    return tuple(levels)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_bush_levels_are_its_dense_group_vectors(seed):
+    bush = random_bush(seed, depth=3, extra_atoms=5)
+    assert bush.levels == _old_random_levels(seed, 3, 5)
+    # one run per group vector, over the shuffled atoms
+    assert all(len(vec) == 1 for lev in bush.runs for vec in lev)
+
+
+def test_a_game_never_builds_the_dense_levels(tmp_path):
+    path = str(tmp_path / "bush.json")
+    assert main(["bush-gen", "--dyadic", "4", "-o", path]) == 0
+    for bush in (bush_from_dict(load_json(path)), random_bush(3, depth=3, extra_atoms=3)):
+        assert validate_bush(bush).passed
+        g, ts = random_challenge(bush, random.Random(1))
+        response = challenge_respond(bush, g, ts)
+        witness = (response.challenge, response.geodesic, ts, response.witness)
+        assert validate_witness(*witness, bush.epsilon / 4).passed
+        assert "levels" not in vars(bush)
 
 
 def test_structural_errors_on_construction():

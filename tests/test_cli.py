@@ -135,6 +135,53 @@ def test_challenge_and_witness_validate(bush_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "bits, depth, passed",
+    [
+        pytest.param((1, 1, 1), None, False, id="another-branch"),
+        pytest.param((0, 0, 0, 1), None, False, id="a-longer-prefix"),
+        pytest.param((0, 0, 0), 3, False, id="shallower"),
+        pytest.param((0, 0, 0, 0), None, True, id="the-same-branch"),
+    ],
+)
+def test_witness_validate_checks_the_challenge_it_was_given(bush_file, tmp_path, capsys,
+                                                           bits, depth, passed):
+    # the response answers the challenge geodesic it carries, which must be
+    # the given challenge (branch 000 at depth 4) rendered at least as deep
+    bush_path = bush_file(4)
+    bush = dyadic_bush(4)
+    ts = [F(1, 3), F(5, 8)]
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("challenge", "response")}
+    dump_json(challenge_to_dict(branch_geodesic(bush, (0, 0, 0)), ts), paths["challenge"])
+    other = challenge_respond(bush, branch_geodesic(bush, bits, depth), ts)
+    dump_json(response_to_dict(other.geodesic, other.witness, other.deepened, other.challenge),
+              paths["response"])
+    code, report = _run(capsys, ["witness-validate", bush_path, "--challenge", paths["challenge"],
+                                 "--response", paths["response"]])
+    assert (code, report["passed"]) == ((0, True) if passed else (1, False))
+    check = report["checks"][-1]
+    assert check["name"] == "challenge_geodesic_deepens_given"
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == (
+        [] if passed else ["challenge_geodesic_deepens_given"])
+
+
+def test_witness_validate_accepts_a_deepened_challenge(bush_file, tmp_path, capsys):
+    bush_path = bush_file(4)
+    bush = dyadic_bush(4)
+    geo, ts = branch_geodesic(bush, (0,), depth=1), [F(1, 3), F(5, 8)]
+    response = challenge_respond(bush, geo, ts)
+    assert response.deepened
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("challenge", "response")}
+    dump_json(challenge_to_dict(geo, ts), paths["challenge"])
+    dump_json(response_to_dict(response.geodesic, response.witness, response.deepened,
+                               response.challenge), paths["response"])
+    code, report = _run(capsys, ["witness-validate", bush_path, "--challenge", paths["challenge"],
+                                 "--response", paths["response"]])
+    assert code == 0 and report["passed"] is True
+    assert report["checks"][-1] == {"name": "challenge_geodesic_deepens_given", "passed": True,
+                                    "detail": ""}
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         pytest.param(["witness-validate", "b.json", "--challenge", "c.json", "--response", "r.json"],
@@ -262,6 +309,28 @@ def test_input_error_exit_code(capsys):
                      id="partitions-hold-a"),
         pytest.param(["bush-validate", "{bush}"], lambda d: d["bush"].update(levels=5), "",
                      id="levels-is-5"),
+        # a run is a nonzero value on [start, stop), inside the dimension
+        # (8), after the run before it; the order permutes the coordinates
+        pytest.param(["bush-validate", "{bush}"],
+                     lambda d: d["bush"]["runs"][1][0][0].__setitem__(1, 0),
+                     "(0, 0, 2)", id="run-start-not-below-stop"),
+        pytest.param(["bush-validate", "{bush}"],
+                     lambda d: d["bush"]["runs"][0][0][0].__setitem__(1, 9),
+                     "(0, 9, 1)", id="run-past-dimension"),
+        pytest.param(["bush-validate", "{bush}"],
+                     lambda d: d["bush"]["runs"][0].__setitem__(0, [[4, 8, "1"], [0, 4, "1"]]),
+                     "(0, 4, 1)", id="runs-unsorted"),
+        pytest.param(["bush-validate", "{bush}"],
+                     lambda d: d["bush"]["runs"][0].__setitem__(0, [[0, 5, "1"], [4, 8, "1"]]),
+                     "(4, 8, 1)", id="runs-overlap"),
+        pytest.param(["bush-validate", "{bush}"],
+                     lambda d: d["bush"]["runs"][2][3][0].__setitem__(2, "0"),
+                     "(6, 8, 0)", id="run-value-zero"),
+        pytest.param(["bush-validate", "{bush}"], lambda d: d["bush"]["runs"][3][0].append([1, 2]),
+                     "", id="run-without-value"),
+        pytest.param(["bush-validate", "{bush}"],
+                     lambda d: d["bush"].update(order=[0, 1, 2, 3, 4, 5, 6, 6]),
+                     "not a permutation", id="order-not-a-permutation"),
         # a Euclidean bush holds no thick family; only the exact kinds load
         pytest.param(["bush-validate", "{bush}"],
                      lambda d: d["bush"]["space"].update(norm="l2", weights=None),

@@ -112,8 +112,8 @@ arclengths = st.one_of(
     points=st.lists(arclengths, min_size=1, max_size=6),
 )
 def test_eval_batch_on_shuffled_atoms_matches_dense_reference(seed, bits, intermediate, points):
-    # random_bush shuffles its atoms, so the index's tree order permutes
-    # the coordinates and _fractions has to put them back
+    # random_bush's coordinate order is its shuffled atoms, so the index
+    # permutes the coordinates and _fractions has to put them back
     bush = random_bush(seed, depth=3, extra_atoms=3)
     assume(bush._index.inverse is not None)
     label = tuple(bits)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bushgeo import bushes
 from bushgeo import InputError, branch_geodesic, dyadic_bush, make_branch, paste, random_bush
 from bushgeo.formats import (
     bush_from_dict,
@@ -45,28 +46,34 @@ def test_bush_round_trip_is_bit_exact(bush_factory):
     assert bush_to_dict(recovered) == doc
 
 
-def test_bush_from_dict_parses_each_rational_string_once(monkeypatch):
-    from bushgeo import Bush, Functional, formats
-    from bushgeo.rationals import parse_rational, parse_vector
+def _dense_document(bush):
+    """The bush as a document that gives every vector by its coordinates."""
+    doc = bush_to_dict(bush)
+    del doc["runs"]
+    doc.pop("order", None)
+    doc["levels"] = [[[str(x) for x in vec] for vec in lev] for lev in bush.levels]
+    return doc
 
-    doc = json.loads(json.dumps(bush_to_dict(dyadic_bush(5))))
-    strings = [doc["epsilon"], *doc["space"]["weights"], *doc["functional"]]
-    strings += [x for lev in doc["levels"] for vec in lev for x in vec]
-    strings += [x for lev in doc["weights"] for x in lev]
-    calls = []
-    monkeypatch.setattr(formats, "parse_rational", lambda text: calls.append(text) or parse_rational(text))
-    bush = bush_from_dict(doc)
-    assert sorted(calls) == sorted(set(strings))
-    # the bush parsed string by string, as before the memo
-    reference = Bush(
-        space=formats.NormedSpace(32, "wl1", parse_vector(doc["space"]["weights"])),
-        levels=tuple(tuple(parse_vector(vec) for vec in lev) for lev in doc["levels"]),
-        partitions=tuple(tuple(tuple(b) for b in lev) for lev in doc["partitions"]),
-        weights=tuple(parse_vector(lev) for lev in doc["weights"]),
-        epsilon=parse_rational(doc["epsilon"]),
-        functional=Functional(parse_vector(doc["functional"])),
-    )
-    assert _same_bush(bush, reference)
+
+@pytest.mark.parametrize(
+    "bush_factory",
+    [lambda: dyadic_bush(4), lambda: random_bush(7, depth=3, extra_atoms=3)],
+    ids=["dyadic-4", "random-shuffled"],
+)
+def test_run_document_round_trips_both_ways(bush_factory, monkeypatch):
+    bush = bush_factory()
+    doc = json.loads(json.dumps(bush_to_dict(bush)))
+    assert "levels" not in doc
+    # the shuffled atoms of the random bush are its coordinate order
+    assert ("order" in doc) == (bush.order != range(bush.space.dimension))
+    dense = bush_from_dict(json.loads(json.dumps(_dense_document(bush))))
+    # a run document is read with no reordering pass
+    monkeypatch.setattr(bushes, "_tree_runs", None)
+    recovered = bush_from_dict(doc)
+    assert bush_to_dict(recovered) == doc
+    assert (recovered.order, recovered.runs) == (bush.order, bush.runs)
+    assert _same_bush(dense, recovered)
+    assert _same_bush(recovered, bush)
 
 
 def test_space_round_trip():

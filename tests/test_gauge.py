@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from bushgeo import InputError, NormedSpace, dyadic_bush, gauge_decompose, gauge_renorm
+from bushgeo import InputError, NormedSpace, dyadic_bush, gauge_decompose
 
 F = Fraction
 
@@ -17,10 +17,10 @@ def _bush_generators(bush):
 def test_depth1_examples():
     bush = dyadic_bush(1)
     gens = _bush_generators(bush)
-    assert gauge_renorm(bush.space, gens, (1, 1)) == 1  # the root vector
-    assert gauge_renorm(bush.space, gens, (0, 0)) == 0
+    assert gauge_decompose(bush.space, gens, (1, 1)).value == 1  # the root vector
+    assert gauge_decompose(bush.space, gens, (0, 0)).value == 0
     # (1,0) = x[1][0]/2: squeezed between x*(v) = 1/2 and base norm 1/2
-    assert gauge_renorm(bush.space, gens, (1, 0)) == F(1, 2)
+    assert gauge_decompose(bush.space, gens, (1, 0)).value == F(1, 2)
 
 
 def test_all_bush_vectors_unit_gauge():
@@ -29,7 +29,7 @@ def test_all_bush_vectors_unit_gauge():
         gens = _bush_generators(bush)
         for lev in bush.levels:
             for vec in lev:
-                assert gauge_renorm(bush.space, gens, vec) == 1
+                assert gauge_decompose(bush.space, gens, vec).value == 1
 
 
 def test_decomposition_certificate():
@@ -69,7 +69,7 @@ def test_wl1_gauge_against_scipy():
     gens = _bush_generators(bush)
     for _ in range(12):
         v = tuple(F(rng.randint(-5, 5), rng.randint(1, 2)) for _ in range(4))
-        exact = gauge_renorm(bush.space, gens, v)
+        exact = gauge_decompose(bush.space, gens, v).value
         assert float(exact) == pytest.approx(
             _scipy_gauge_wl1(bush.space.weights, gens, v), abs=1e-7
         )
@@ -79,12 +79,12 @@ def test_linf_gauge():
     space = NormedSpace(2, "linf")
     gens = [(2, 0)]
     # (2,0) is a generator: one unit of it
-    assert gauge_renorm(space, gens, (2, 0)) == 1
+    assert gauge_decompose(space, gens, (2, 0)).value == 1
     # (1,1): c = 1/2 kills the first coordinate, leaving (0,1) of sup-norm 1;
     # c = 0 costs 1; the optimum trades off to 1 (any c > 0 still leaves |1| = 1)
-    assert gauge_renorm(space, gens, (1, 1)) == 1
-    assert gauge_renorm(space, gens, (1, 0)) == F(1, 2)
-    assert gauge_renorm(space, gens, (0, 0)) == 0
+    assert gauge_decompose(space, gens, (1, 1)).value == 1
+    assert gauge_decompose(space, gens, (1, 0)).value == F(1, 2)
+    assert gauge_decompose(space, gens, (0, 0)).value == 0
 
 
 def _scipy_gauge_linf(gens, v):
@@ -107,7 +107,7 @@ def test_linf_gauge_against_scipy():
     gens = [(2, 0, 1), (0, 2, -1), (1, 1, 1)]
     for _ in range(12):
         v = tuple(F(rng.randint(-5, 5), rng.randint(1, 2)) for _ in range(3))
-        exact = gauge_renorm(space, gens, v)
+        exact = gauge_decompose(space, gens, v).value
         assert float(exact) == pytest.approx(_scipy_gauge_linf(gens, v), abs=1e-7)
 
 
@@ -119,21 +119,22 @@ def test_gauge_properties_sampled():
     for _ in range(12):
         u = tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(4))
         v = tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(4))
-        gu = gauge_renorm(bush.space, gens, u)
-        gv = gauge_renorm(bush.space, gens, v)
+        gu = gauge_decompose(bush.space, gens, u).value
+        gv = gauge_decompose(bush.space, gens, v).value
         assert gu <= bush.space.norm(u)
         assert gu >= abs(xs(u))
         c = F(rng.randint(1, 6), rng.randint(1, 3))
-        assert gauge_renorm(bush.space, gens, tuple(c * x for x in u)) == c * gu
-        assert gauge_renorm(bush.space, gens, tuple(-x for x in u)) == gu
-        assert gauge_renorm(bush.space, gens, tuple(a + b for a, b in zip(u, v))) <= gu + gv
+        assert gauge_decompose(bush.space, gens, tuple(c * x for x in u)).value == c * gu
+        assert gauge_decompose(bush.space, gens, tuple(-x for x in u)).value == gu
+        w = tuple(a + b for a, b in zip(u, v))
+        assert gauge_decompose(bush.space, gens, w).value <= gu + gv
 
 
 def test_gauge_input_errors():
     bush = dyadic_bush(1)
     with pytest.raises(InputError):
-        gauge_renorm(bush.space, [], (1, 1))
+        gauge_decompose(bush.space, [], (1, 1))
     with pytest.raises(InputError):
-        gauge_renorm(bush.space, [(0, 0)], (1, 1))
+        gauge_decompose(bush.space, [(0, 0)], (1, 1))
     with pytest.raises(InputError):
-        gauge_renorm(bush.space, [(1, 0, 0)], (1, 1))
+        gauge_decompose(bush.space, [(1, 0, 0)], (1, 1))
